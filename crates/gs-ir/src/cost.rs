@@ -3,8 +3,8 @@
 //! The third member of the static-analysis family after `gs-ir::verify`
 //! (plans, §6b) and `gs-lint` (sources, §6g): an abstract interpreter
 //! that pushes a *cardinality interval* `[lo, hi]` and a point estimate
-//! through every operator of a [`LogicalPlan`] or [`PhysicalPlan`],
-//! together with the record width, so that every plan carries
+//! through every operator of a [`PhysicalPlan`], together with the
+//! record width, so that every plan carries
 //! machine-checked cardinality and memory bounds before a single tuple
 //! flows (the GOpt idea of choosing plans by estimated intermediate
 //! result size, made an engine-independent analysis).
@@ -29,19 +29,17 @@
 //! * `C003` — estimated peak memory exceeds the deployment budget;
 //! * `C301` — no / incomplete statistics, bounds are conservative;
 //! * `C302` — low-confidence estimate (a defaulted selectivity or
-//!   distinct count fed the numbers);
-//! * `C303` — a rewrite rule increased estimated cost (emitted by
-//!   `gs-optimizer`, attributed to the rule).
+//!   distinct count fed the numbers).
 //!
-//! Consumers: `gs-optimizer` checks each RBO rule cost-non-increasing
-//! and ranks rules by estimated benefit; `gs-serve` sheds or demotes
-//! statically over-budget prepared statements before they reach an
-//! engine; `gs-bench costcheck` tracks estimator quality (q-error
-//! percentiles) against actual per-operator cardinalities.
+//! Consumers: `gs-serve` sheds or demotes statically over-budget prepared
+//! statements before they reach an engine; `gs-bench costcheck` tracks
+//! estimator quality (q-error percentiles) against actual per-operator
+//! cardinalities; `gs-optimizer`'s tests check that no rewrite rule
+//! raises the estimated cost. A logical plan is costed through its
+//! lowering.
 
 use crate::expr::{BinOp, Expr};
-use crate::logical::{LogicalOp, LogicalPlan, ProjectItem};
-use crate::pattern::Pattern;
+use crate::logical::ProjectItem;
 use crate::physical::{ExpandOut, PhysicalOp, PhysicalPlan};
 use crate::record::ColumnKind;
 use crate::verify::{Diagnostic, Severity, VerifyLevel, VerifyReport};
@@ -63,8 +61,6 @@ pub const C_MEMORY_BUDGET: &str = "C003";
 pub const W_NO_STATISTICS: &str = "C301";
 /// A defaulted selectivity / distinct count fed the estimate.
 pub const W_LOW_CONFIDENCE: &str = "C302";
-/// A rewrite rule increased the estimated plan cost.
-pub const W_COST_INCREASE: &str = "C303";
 
 /// Assumed bytes per record column (a [`gs_graph::Value`] plus `Vec`
 /// bookkeeping) for memory-bound estimation.
@@ -491,30 +487,13 @@ impl<'a> CostChecker<'a> {
     }
 }
 
-/// Columns referenced by an expression.
-fn expr_columns(e: &Expr, out: &mut Vec<usize>) {
-    match e {
-        Expr::Column(c) => out.push(*c),
-        Expr::VertexProp { col, .. } | Expr::EdgeProp { col, .. } | Expr::VertexId { col, .. } => {
-            out.push(*col)
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            expr_columns(lhs, out);
-            expr_columns(rhs, out);
-        }
-        Expr::Not(inner) => expr_columns(inner, out),
-        Expr::In { expr, .. } => expr_columns(expr, out),
-        Expr::Const(_) => {}
-    }
-}
-
 /// Does any op after `start` connect the columns below `boundary` to the
 /// columns at/above it (a predicate or intersection spanning both sides)?
 fn physically_connected(ops: &[PhysicalOp], start: usize, boundary: usize) -> bool {
     ops[start..].iter().any(|op| match op {
         PhysicalOp::Select { predicate } => {
             let mut cols = Vec::new();
-            expr_columns(predicate, &mut cols);
+            predicate.referenced_columns(&mut cols);
             cols.iter().any(|&c| c >= boundary) && cols.iter().any(|&c| c < boundary)
         }
         PhysicalOp::ExpandIntersect {
@@ -721,221 +700,10 @@ fn project_cardinality(
     )
 }
 
-// ---------------------------------------------------------------------
-// Logical analysis
-// ---------------------------------------------------------------------
-
-/// Does any op after `start` connect old columns (below `boundary` in the
-/// layout) to the new one — the logical-plan cross-product check.
-fn logically_connected(ops: &[LogicalOp], start: usize, boundary: usize) -> bool {
-    ops[start..].iter().any(|op| match op {
-        LogicalOp::Select { predicate } => {
-            let mut cols = Vec::new();
-            expr_columns(predicate, &mut cols);
-            cols.iter().any(|&c| c >= boundary) && cols.iter().any(|&c| c < boundary)
-        }
-        _ => false,
-    })
-}
-
-/// Runs the abstract interpreter over a logical plan.
-pub fn cost_logical(
-    plan: &LogicalPlan,
-    stats: Option<&CostStats>,
-    budget: &CostBudget,
-) -> CostReport {
-    let mut ck = CostChecker::new(stats, budget);
-    let mut per_op = Vec::with_capacity(plan.ops.len());
-    let mut est = 1.0f64;
-    let mut iv = CardInterval::exact(1.0);
-
-    for (i, op) in plan.ops.iter().enumerate() {
-        let width_before = plan.layouts.get(i).map(|l| l.width()).unwrap_or_default();
-        let width = plan
-            .layouts
-            .get(i + 1)
-            .map(|l| l.width())
-            .unwrap_or(width_before);
-        match op {
-            LogicalOp::ScanVertex {
-                label, predicate, ..
-            } => {
-                let (n, known) = ck.label_count(*label, Some(i));
-                if width_before > 0 && !logically_connected(&plan.ops, i + 1, width_before) {
-                    ck.emit(
-                        C_CROSS_PRODUCT,
-                        Severity::Error,
-                        Some(i),
-                        format!(
-                            "scan of label {label:?} cross-products {width_before} bound \
-                             column(s) with no connecting predicate downstream"
-                        ),
-                    );
-                }
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
-                let next = CardInterval {
-                    lo: if known && predicate.is_none() {
-                        iv.lo * n
-                    } else {
-                        0.0
-                    },
-                    hi: if known { iv.hi * n } else { f64::INFINITY },
-                };
-                (est, iv) = ck.step(&mut per_op, i, true, est * n * sel, next, width);
-            }
-            LogicalOp::ExpandEdge {
-                elabel,
-                dir,
-                predicate,
-                ..
-            } => {
-                let (avg, max) = ck.fanout(*elabel, *dir, Some(i));
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
-                (est, iv) = ck.step(
-                    &mut per_op,
-                    i,
-                    true,
-                    est * avg * sel,
-                    CardInterval::at_most(iv.hi * max),
-                    width,
-                );
-            }
-            LogicalOp::GetVertex { predicate, .. } => {
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
-                let next = if predicate.is_none() {
-                    iv
-                } else {
-                    CardInterval::at_most(iv.hi)
-                };
-                (est, iv) = ck.step(&mut per_op, i, false, est * sel, next, width);
-            }
-            LogicalOp::Match { pattern } => {
-                let (m_est, m_hi) = ck.pattern_cost(pattern, i);
-                (est, iv) = ck.step(
-                    &mut per_op,
-                    i,
-                    true,
-                    est * m_est,
-                    CardInterval::at_most(iv.hi * m_hi),
-                    width,
-                );
-            }
-            LogicalOp::Select { predicate } => {
-                let sel = ck.selectivity(predicate);
-                (est, iv) = ck.step(
-                    &mut per_op,
-                    i,
-                    false,
-                    est * sel,
-                    CardInterval::at_most(iv.hi),
-                    width,
-                );
-            }
-            LogicalOp::Project { items } => {
-                let n_aggs = items
-                    .iter()
-                    .filter(|(it, _)| matches!(it, ProjectItem::Agg(..)))
-                    .count();
-                let (next_est, next_iv) = project_cardinality(est, iv, n_aggs, items.len());
-                (est, iv) = ck.step(&mut per_op, i, false, next_est, next_iv, width);
-            }
-            LogicalOp::Order { limit, .. } => {
-                let next = match limit {
-                    Some(n) => CardInterval {
-                        lo: iv.lo.min(*n as f64),
-                        hi: iv.hi.min(*n as f64),
-                    },
-                    None => iv,
-                };
-                let next_est = limit.map(|n| est.min(n as f64)).unwrap_or(est);
-                (est, iv) = ck.step(&mut per_op, i, false, next_est, next, width);
-            }
-            LogicalOp::Dedup { .. } => {
-                let next = CardInterval {
-                    lo: if iv.lo > 0.0 { 1.0 } else { 0.0 },
-                    hi: iv.hi,
-                };
-                (est, iv) = ck.step(&mut per_op, i, false, est, next, width);
-            }
-            LogicalOp::Limit { n } => {
-                let next = CardInterval {
-                    lo: iv.lo.min(*n as f64),
-                    hi: iv.hi.min(*n as f64),
-                };
-                (est, iv) = ck.step(&mut per_op, i, false, est.min(*n as f64), next, width);
-            }
-        }
-    }
-    ck.finish(per_op)
-}
-
-impl CostChecker<'_> {
-    /// `(estimated rows, sound upper bound)` for a whole `Match` pattern,
-    /// simulated vertex-by-vertex in declaration order (order only moves
-    /// the intermediate sizes, not the output cardinality).
-    fn pattern_cost(&mut self, pattern: &Pattern, op: usize) -> (f64, f64) {
-        let n = pattern.vertices.len();
-        let mut est = 1.0f64;
-        let mut hi = 1.0f64;
-        let mut visited = vec![false; n];
-        let mut edge_done = vec![false; pattern.edges.len()];
-        for vi in 0..n {
-            let pv = &pattern.vertices[vi];
-            let sel = pv
-                .predicate
-                .as_ref()
-                .map(|p| self.selectivity(p))
-                .unwrap_or(1.0);
-            let conn = pattern
-                .incident(vi)
-                .into_iter()
-                .find(|&(ei, _, other)| !edge_done[ei] && visited[other]);
-            match conn {
-                None => {
-                    // anchor (or disconnected component): scan
-                    let (count, known) = self.label_count(pv.label, Some(op));
-                    est *= count * sel;
-                    hi *= if known { count } else { f64::INFINITY };
-                }
-                Some((ei, dir_from_vi, _)) => {
-                    let pe = &pattern.edges[ei];
-                    let dir = match dir_from_vi {
-                        Direction::Out => Direction::In,
-                        Direction::In => Direction::Out,
-                        Direction::Both => Direction::Both,
-                    };
-                    let (avg, max) = self.fanout(pe.label, dir, Some(op));
-                    let esel = pe
-                        .predicate
-                        .as_ref()
-                        .map(|p| self.selectivity(p))
-                        .unwrap_or(1.0);
-                    est *= avg * sel * esel;
-                    hi *= max;
-                    edge_done[ei] = true;
-                }
-            }
-            visited[vi] = true;
-            // closing edges only filter (each closes onto one bound vertex)
-            for (ej, _, other) in pattern.incident(vi) {
-                if edge_done[ej] || !visited[other] {
-                    continue;
-                }
-                let pe = &pattern.edges[ej];
-                let (avg, _) = self.fanout(pe.label, Direction::Out, Some(op));
-                let n_other = self.label_count(pattern.vertices[other].label, Some(op)).0;
-                est *= (avg / n_other.max(1.0)).min(1.0);
-                edge_done[ej] = true;
-            }
-        }
-        (est, hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{ColumnKind, Layout};
+    use crate::record::Layout;
     use gs_graph::Value;
 
     const V: LabelId = LabelId(0);
@@ -1132,25 +900,6 @@ mod tests {
         assert_eq!(c.per_op[1].interval, CardInterval { lo: 7.0, hi: 7.0 });
         // keyless aggregate: exactly one row, even over empty input
         assert_eq!(c.per_op[2].interval, CardInterval::exact(1.0));
-    }
-
-    #[test]
-    fn logical_and_physical_agree_on_simple_chain() {
-        let s = stats();
-        let mut l0 = Layout::new();
-        l0.push("v", ColumnKind::Vertex(V)).unwrap();
-        let lp = LogicalPlan {
-            ops: vec![LogicalOp::ScanVertex {
-                alias: "v".into(),
-                label: V,
-                predicate: None,
-            }],
-            layouts: vec![Layout::new(), l0],
-        };
-        let cl = cost_logical(&lp, Some(&s), &CostBudget::default());
-        let cp = cost_physical(&plan(vec![scan()]), Some(&s), &CostBudget::default());
-        assert_eq!(cl.output_est_rows, cp.output_est_rows);
-        assert_eq!(cl.per_op[0].interval, cp.per_op[0].interval);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! * [`logical`] and [`physical`] plan stages: the logical DAG captures
 //!   query semantics; the physical plan concretises execution order (the
 //!   optimizer in `gs-optimizer` produces it; [`physical::lower_naive`]
-//!   gives the unoptimized lowering used as the Fig. 7(e) baseline);
+//!   gives the unoptimized lowering used as the Fig. 7(e) baseline).
+//!   Lowering is the only code that interprets a logical op: [`verify`]
+//!   and [`cost`] analyse physical plans, and a logical plan is verified
+//!   through its naive lowering;
 //! * a reference [`exec`]utor defining operator semantics; the Gaia and
 //!   HiActor engines reuse these semantics with their own parallel/actor
 //!   runtimes and are differential-tested against it.
@@ -32,8 +35,8 @@ pub mod verify;
 
 pub use builder::PlanBuilder;
 pub use cost::{
-    cost_logical, cost_physical, enforce_cost, CardInterval, CostBudget, CostReport, CostStats,
-    EdgeCostStats, OpCost,
+    cost_physical, enforce_cost, CardInterval, CostBudget, CostReport, CostStats, EdgeCostStats,
+    OpCost,
 };
 pub use engine::{PreparedQuery, QueryEngine, ReferenceEngine, VerifyOnce};
 pub use expr::{AggFunc, BinOp, Expr};

@@ -11,6 +11,10 @@ use crate::expr::Expr;
 use crate::logical::{LogicalOp, LogicalPlan, ProjectItem};
 use crate::pattern::Pattern;
 use crate::record::{ColumnKind, Layout};
+use crate::verify::{
+    Diagnostic, E_BAD_PATTERN, E_COLUMN_RANGE, E_DUPLICATE_ALIAS, E_KIND_MISMATCH,
+    E_LAYOUT_MISMATCH, E_UNKNOWN_ALIAS,
+};
 use gs_graph::{GraphError, LabelId, PropId, Result, Value};
 use gs_grin::Direction;
 
@@ -213,6 +217,40 @@ pub struct PhysicalPlan {
     pub layout: Layout,
 }
 
+/// Lowering fails with a verifier [`Diagnostic`], so a malformed logical
+/// plan reports the same codes whether it is lowered or verified.
+pub type LowerResult<T> = std::result::Result<T, Diagnostic>;
+
+/// Re-codes a layout or pattern error as a diagnostic with `code`.
+fn coded(code: &'static str) -> impl Fn(GraphError) -> Diagnostic {
+    move |e| {
+        let message = match e {
+            GraphError::Query(m) => m,
+            other => other.to_string(),
+        };
+        Diagnostic::error(code, message)
+    }
+}
+
+/// Binds `alias` to a new column (`E010` when it is already bound).
+fn bind(layout: &mut Layout, alias: &str, kind: ColumnKind) -> LowerResult<usize> {
+    layout.push(alias, kind).map_err(coded(E_DUPLICATE_ALIAS))
+}
+
+/// Resolves a bound alias (`E002`, listing the aliases that are bound).
+fn resolve(layout: &Layout, alias: &str) -> LowerResult<usize> {
+    layout.require(alias).map_err(coded(E_UNKNOWN_ALIAS))
+}
+
+/// Alias prefix of the columns that bind pattern edges with no alias of
+/// their own; lowering drops them once the pattern is matched.
+const INTERNAL_EDGE: &str = "__e";
+
+/// The pattern visit order that follows declaration order.
+pub fn declaration_order(pattern: &Pattern) -> Vec<usize> {
+    (0..pattern.vertices.len()).collect()
+}
+
 /// Compiles a pattern into physical ops given a vertex visit `order`
 /// (indices into `pattern.vertices`; the first element is the anchor).
 ///
@@ -223,6 +261,9 @@ pub struct PhysicalPlan {
 ///
 /// Aliases already present in `layout` are reused as bound anchors (the
 /// second `MATCH` of a multi-stage query extends existing bindings).
+/// Fails with `E009` for a malformed pattern or order, `E002`/`E010` for
+/// an alias that does not resolve or collides, and `E005` for a vertex or
+/// edge predicate that reads beyond its own column.
 pub fn compile_pattern(
     pattern: &Pattern,
     order: &[usize],
@@ -230,10 +271,13 @@ pub fn compile_pattern(
     ops: &mut Vec<PhysicalOp>,
     fused: bool,
     push_predicates: bool,
-) -> Result<()> {
-    pattern.validate()?;
+) -> LowerResult<()> {
+    pattern.validate().map_err(coded(E_BAD_PATTERN))?;
     if order.len() != pattern.vertices.len() {
-        return Err(GraphError::Query("pattern order length mismatch".into()));
+        return Err(Diagnostic::error(
+            E_BAD_PATTERN,
+            "pattern order length mismatch".into(),
+        ));
     }
     let mut bound: Vec<bool> = pattern
         .vertices
@@ -257,13 +301,13 @@ pub fn compile_pattern(
             match conn {
                 None => {
                     // anchor: scan
-                    let pred = pv.predicate.clone();
-                    let col = layout.push(&pv.alias, ColumnKind::Vertex(pv.label))?;
+                    let pred = pv.predicate.as_ref();
+                    let col = bind(layout, &pv.alias, ColumnKind::Vertex(pv.label))?;
                     if push_predicates {
                         ops.push(PhysicalOp::Scan {
                             label: pv.label,
-                            predicate: pred.clone().map(|p| remap_to(p, 0)),
-                            index_lookup: pred.as_ref().and_then(extract_eq_lookup),
+                            predicate: pred.map(|p| remap_to(p, 0)).transpose()?,
+                            index_lookup: pred.and_then(extract_eq_lookup),
                         });
                     } else {
                         ops.push(PhysicalOp::Scan {
@@ -272,7 +316,7 @@ pub fn compile_pattern(
                             index_lookup: None,
                         });
                         if let Some(p) = pred {
-                            deferred_selects.push(remap_to(p, col));
+                            deferred_selects.push(remap_to(p, col)?);
                         }
                     }
                 }
@@ -285,15 +329,15 @@ pub fn compile_pattern(
                         Direction::In => Direction::Out,
                         Direction::Both => Direction::Both,
                     };
-                    let src_col = layout.require(&pattern.vertices[other].alias)?;
+                    let src_col = resolve(layout, &pattern.vertices[other].alias)?;
                     let src_label = pattern.vertices[other].label;
-                    let epred = pe.predicate.clone();
-                    let vpred = pv.predicate.clone();
+                    let epred = pe.predicate.as_ref();
+                    let vpred = pv.predicate.as_ref();
                     let want_edge_alias = pe.alias.is_some();
                     // Fusion is only legal when nothing downstream needs the
                     // edge: no alias binding and no edge predicate.
                     if fused && !want_edge_alias && epred.is_none() {
-                        let col = layout.push(&pv.alias, ColumnKind::Vertex(pv.label))?;
+                        let col = bind(layout, &pv.alias, ColumnKind::Vertex(pv.label))?;
                         ops.push(PhysicalOp::Expand {
                             src_col,
                             src_label,
@@ -302,25 +346,24 @@ pub fn compile_pattern(
                             predicate: None,
                             out: ExpandOut::VertexFused { label: pv.label },
                         });
+                        // the vertex predicate runs on the fused output
+                        // column, pushed or not
                         if let Some(p) = vpred {
-                            if push_predicates {
-                                // the vertex predicate can run inline on the
-                                // fused output column
-                                deferred_selects.push(remap_to(p, col));
-                            } else {
-                                deferred_selects.push(remap_to(p, col));
-                            }
+                            deferred_selects.push(remap_to(p, col)?);
                         }
                     } else {
-                        let ealias = pe.alias.clone().unwrap_or_else(|| format!("__e{ei}"));
-                        let ecol = layout.push(&ealias, ColumnKind::Edge(pe.label))?;
+                        let ealias = pe
+                            .alias
+                            .clone()
+                            .unwrap_or_else(|| format!("{INTERNAL_EDGE}{ei}"));
+                        let ecol = bind(layout, &ealias, ColumnKind::Edge(pe.label))?;
                         ops.push(PhysicalOp::Expand {
                             src_col,
                             src_label,
                             elabel: pe.label,
                             dir,
                             predicate: if push_predicates {
-                                epred.clone().map(|p| remap_to(p, 0))
+                                epred.map(|p| remap_to(p, 0)).transpose()?
                             } else {
                                 None
                             },
@@ -328,15 +371,15 @@ pub fn compile_pattern(
                         });
                         if !push_predicates {
                             if let Some(p) = epred {
-                                deferred_selects.push(remap_to(p, ecol));
+                                deferred_selects.push(remap_to(p, ecol)?);
                             }
                         }
-                        let vcol = layout.push(&pv.alias, ColumnKind::Vertex(pv.label))?;
+                        let vcol = bind(layout, &pv.alias, ColumnKind::Vertex(pv.label))?;
                         ops.push(PhysicalOp::GetVertex {
                             edge_col: ecol,
                             label: pv.label,
                             predicate: if push_predicates {
-                                vpred.clone().map(|p| remap_to(p, 0))
+                                vpred.map(|p| remap_to(p, 0)).transpose()?
                             } else {
                                 None
                             },
@@ -348,7 +391,7 @@ pub fn compile_pattern(
                         });
                         if !push_predicates {
                             if let Some(p) = vpred {
-                                deferred_selects.push(remap_to(p, vcol));
+                                deferred_selects.push(remap_to(p, vcol)?);
                             }
                         }
                     }
@@ -363,8 +406,8 @@ pub fn compile_pattern(
                 continue;
             }
             let pe = &pattern.edges[ei];
-            let src_col = layout.require(&pattern.vertices[vi].alias)?;
-            let dst_col = layout.require(&pattern.vertices[other].alias)?;
+            let src_col = resolve(layout, &pattern.vertices[vi].alias)?;
+            let dst_col = resolve(layout, &pattern.vertices[other].alias)?;
             let bind_edge = pe.alias.is_some();
             ops.push(PhysicalOp::ExpandIntersect {
                 src_col,
@@ -372,10 +415,10 @@ pub fn compile_pattern(
                 dir,
                 dst_col,
                 bind_edge,
-                predicate: pe.predicate.clone().map(|p| remap_to(p, 0)),
+                predicate: pe.predicate.as_ref().map(|p| remap_to(p, 0)).transpose()?,
             });
-            if bind_edge {
-                layout.push(pe.alias.as_ref().unwrap(), ColumnKind::Edge(pe.label))?;
+            if let Some(alias) = &pe.alias {
+                bind(layout, alias, ColumnKind::Edge(pe.label))?;
             }
             edge_done[ei] = true;
         }
@@ -385,17 +428,27 @@ pub fn compile_pattern(
         ops.push(PhysicalOp::Select { predicate: p });
     }
     if let Some(missing) = edge_done.iter().position(|d| !d) {
-        return Err(GraphError::Query(format!(
-            "pattern edge {missing} not compiled (disconnected order?)"
-        )));
+        return Err(Diagnostic::error(
+            E_BAD_PATTERN,
+            format!("pattern edge {missing} not compiled (disconnected order?)"),
+        ));
     }
     Ok(())
 }
 
-/// Rebinds a single-column predicate (written against column 0) to `col`.
-fn remap_to(p: Expr, col: usize) -> Expr {
-    p.remap_columns(&|i| if i == 0 { Some(col) } else { None })
-        .expect("single-column predicate")
+/// Rebinds a single-column predicate (written against column 0) to `col`
+/// (`E005` when it reads any other column).
+fn remap_to(p: &Expr, col: usize) -> LowerResult<Expr> {
+    p.remap_columns(&|i| (i == 0).then_some(col))
+        .ok_or_else(|| {
+            let mut cols = Vec::new();
+            p.referenced_columns(&mut cols);
+            let bad = cols.into_iter().find(|&c| c != 0).unwrap_or_default();
+            Diagnostic::error(
+                E_COLUMN_RANGE,
+                format!("column {bad} out of range (record width 1)"),
+            )
+        })
 }
 
 /// Extracts `prop == const` from a vertex predicate for index lookups.
@@ -419,179 +472,262 @@ fn extract_eq_lookup(p: &Expr) -> Option<(PropId, Value)> {
 /// Naive lowering: logical ops in order, unfused expansion, no predicate
 /// pushdown, patterns compiled in declaration order.
 pub fn lower_naive(plan: &LogicalPlan) -> Result<PhysicalPlan> {
-    lower_with(plan, false, false, |pattern| {
-        (0..pattern.vertices.len()).collect()
-    })
+    lower_with(plan, false, false, declaration_order)
 }
 
 /// Shared lowering skeleton. `order_fn` picks the pattern visit order
-/// (identity for naive, GLogue for CBO).
+/// (identity for naive, GLogue for CBO). A malformed plan fails with the
+/// verifier's diagnostic rendered into the error.
 pub fn lower_with(
     plan: &LogicalPlan,
     fused: bool,
     push_predicates: bool,
     order_fn: impl Fn(&Pattern) -> Vec<usize>,
 ) -> Result<PhysicalPlan> {
+    Ok(lower_traced(plan, fused, push_predicates, order_fn)?.0)
+}
+
+/// [`lower_with`], also returning, for each physical op, the index of the
+/// logical op it came from. This is the only code that interprets a
+/// [`LogicalOp`]: the verifier checks logical plans through it.
+///
+/// Fails with `E008` when `plan.layouts` is not one longer than `plan.ops`
+/// or an op's output differs from the layout the plan declares after it,
+/// `E002` for an alias that does not resolve, `E003` for an expansion from
+/// a non-vertex column, `E005` for a projected column out of range,
+/// `E009` for a malformed pattern and `E010` for a duplicate alias. The
+/// diagnostic anchors to the logical op that failed.
+pub(crate) fn lower_traced(
+    plan: &LogicalPlan,
+    fused: bool,
+    push_predicates: bool,
+    order_fn: impl Fn(&Pattern) -> Vec<usize>,
+) -> LowerResult<(PhysicalPlan, Vec<usize>)> {
+    if plan.layouts.len() != plan.ops.len() + 1 {
+        return Err(Diagnostic::error(
+            E_LAYOUT_MISMATCH,
+            format!(
+                "plan has {} ops but {} layouts (want ops+1)",
+                plan.ops.len(),
+                plan.layouts.len()
+            ),
+        ));
+    }
     let mut layout = Layout::new();
     let mut ops = Vec::new();
+    let mut origins = Vec::new();
     for (op_idx, op) in plan.ops.iter().enumerate() {
-        match op {
-            LogicalOp::ScanVertex {
-                alias,
-                label,
-                predicate,
-            } => {
-                let col = layout.push(alias, ColumnKind::Vertex(*label))?;
-                if push_predicates {
-                    ops.push(PhysicalOp::Scan {
-                        label: *label,
-                        predicate: predicate.clone().map(|p| remap_to(p, 0)),
-                        index_lookup: predicate.as_ref().and_then(extract_eq_lookup),
-                    });
-                } else {
-                    ops.push(PhysicalOp::Scan {
-                        label: *label,
-                        predicate: None,
-                        index_lookup: None,
-                    });
-                    if let Some(p) = predicate.clone() {
-                        ops.push(PhysicalOp::Select {
-                            predicate: remap_to(p, col),
-                        });
-                    }
-                }
-            }
-            LogicalOp::ExpandEdge {
-                src,
-                elabel,
-                dir,
-                alias,
-                predicate,
-            } => {
-                let src_col = layout.require(src)?;
-                let src_label = layout.vertex_label(src)?;
-                let ecol = layout.push(alias, ColumnKind::Edge(*elabel))?;
-                ops.push(PhysicalOp::Expand {
-                    src_col,
-                    src_label,
-                    elabel: *elabel,
-                    dir: *dir,
-                    predicate: if push_predicates {
-                        predicate.clone().map(|p| remap_to(p, 0))
-                    } else {
-                        None
-                    },
-                    out: ExpandOut::Edge,
-                });
-                if !push_predicates {
-                    if let Some(p) = predicate.clone() {
-                        ops.push(PhysicalOp::Select {
-                            predicate: remap_to(p, ecol),
-                        });
-                    }
-                }
-            }
-            LogicalOp::GetVertex {
-                edge,
-                alias,
-                predicate,
-            } => {
-                let edge_col = layout.require(edge)?;
-                // the produced vertex label comes from the logical layout
-                let after = &plan.layouts[op_idx + 1];
-                let label = match after.kind_of(alias) {
-                    Some(ColumnKind::Vertex(l)) => *l,
-                    _ => {
-                        return Err(GraphError::Query(format!(
-                            "GetVertex target `{alias}` has no vertex kind"
-                        )))
-                    }
-                };
-                let vcol = layout.push(alias, ColumnKind::Vertex(label))?;
-                ops.push(PhysicalOp::GetVertex {
-                    edge_col,
+        let declared = &plan.layouts[op_idx + 1];
+        let mut lower_op = || -> LowerResult<()> {
+            match op {
+                LogicalOp::ScanVertex {
+                    alias,
                     label,
-                    predicate: if push_predicates {
-                        predicate.clone().map(|p| remap_to(p, 0))
-                    } else {
-                        None
-                    },
-                    take_dst: true,
-                });
-                if !push_predicates {
-                    if let Some(p) = predicate.clone() {
-                        ops.push(PhysicalOp::Select {
-                            predicate: remap_to(p, vcol),
+                    predicate,
+                } => {
+                    let col = bind(&mut layout, alias, ColumnKind::Vertex(*label))?;
+                    if push_predicates {
+                        ops.push(PhysicalOp::Scan {
+                            label: *label,
+                            predicate: predicate.as_ref().map(|p| remap_to(p, 0)).transpose()?,
+                            index_lookup: predicate.as_ref().and_then(extract_eq_lookup),
                         });
+                    } else {
+                        ops.push(PhysicalOp::Scan {
+                            label: *label,
+                            predicate: None,
+                            index_lookup: None,
+                        });
+                        if let Some(p) = predicate {
+                            ops.push(PhysicalOp::Select {
+                                predicate: remap_to(p, col)?,
+                            });
+                        }
                     }
                 }
-            }
-            LogicalOp::Match { pattern } => {
-                let order = order_fn(pattern);
-                compile_pattern(
-                    pattern,
-                    &order,
-                    &mut layout,
-                    &mut ops,
-                    fused,
-                    push_predicates,
-                )?;
-                // Physical column order depends on the visit order; restore
-                // the canonical (declaration-order) layout that downstream
-                // expressions were bound against, dropping internal `__e*`
-                // columns along the way.
-                let canonical = &plan.layouts[op_idx + 1];
-                let phys_aliases: Vec<&str> = layout.aliases().collect();
-                let canon_aliases: Vec<&str> = canonical.aliases().collect();
-                if phys_aliases != canon_aliases {
-                    let items: Vec<(ProjectItem, String)> = canonical
-                        .aliases()
-                        .map(|a| {
-                            Ok((
-                                ProjectItem::Expr(Expr::Column(layout.require(a)?)),
-                                a.to_string(),
-                            ))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    ops.push(PhysicalOp::Project { items });
-                    layout = canonical.clone();
-                }
-            }
-            LogicalOp::Select { predicate } => {
-                ops.push(PhysicalOp::Select {
-                    predicate: predicate.clone(),
-                });
-            }
-            LogicalOp::Project { items } => {
-                ops.push(PhysicalOp::Project {
-                    items: items.clone(),
-                });
-                // rebuild layout from items
-                let mut nl = Layout::new();
-                for (it, name) in items {
-                    let kind = match it {
-                        ProjectItem::Expr(Expr::Column(c)) => layout.kind(*c).clone(),
-                        _ => ColumnKind::Scalar,
+                LogicalOp::ExpandEdge {
+                    src,
+                    elabel,
+                    dir,
+                    alias,
+                    predicate,
+                } => {
+                    let src_col = resolve(&layout, src)?;
+                    let ColumnKind::Vertex(src_label) = *layout.kind(src_col) else {
+                        return Err(Diagnostic::error(
+                            E_KIND_MISMATCH,
+                            format!(
+                                "expand source `{src}` is {:?}, expected vertex",
+                                layout.kind(src_col)
+                            ),
+                        ));
                     };
-                    nl.push(name, kind)?;
+                    let ecol = bind(&mut layout, alias, ColumnKind::Edge(*elabel))?;
+                    ops.push(PhysicalOp::Expand {
+                        src_col,
+                        src_label,
+                        elabel: *elabel,
+                        dir: *dir,
+                        predicate: if push_predicates {
+                            predicate.as_ref().map(|p| remap_to(p, 0)).transpose()?
+                        } else {
+                            None
+                        },
+                        out: ExpandOut::Edge,
+                    });
+                    if !push_predicates {
+                        if let Some(p) = predicate {
+                            ops.push(PhysicalOp::Select {
+                                predicate: remap_to(p, ecol)?,
+                            });
+                        }
+                    }
                 }
-                layout = nl;
+                LogicalOp::GetVertex {
+                    edge,
+                    alias,
+                    predicate,
+                } => {
+                    let edge_col = resolve(&layout, edge)?;
+                    // the produced vertex label comes from the logical layout
+                    let Some(&ColumnKind::Vertex(label)) = declared.kind_of(alias) else {
+                        return Err(Diagnostic::error(
+                            E_LAYOUT_MISMATCH,
+                            format!(
+                                "get-vertex target `{alias}` has no vertex kind in the declared layout"
+                            ),
+                        ));
+                    };
+                    let vcol = bind(&mut layout, alias, ColumnKind::Vertex(label))?;
+                    ops.push(PhysicalOp::GetVertex {
+                        edge_col,
+                        label,
+                        predicate: if push_predicates {
+                            predicate.as_ref().map(|p| remap_to(p, 0)).transpose()?
+                        } else {
+                            None
+                        },
+                        take_dst: true,
+                    });
+                    if !push_predicates {
+                        if let Some(p) = predicate {
+                            ops.push(PhysicalOp::Select {
+                                predicate: remap_to(p, vcol)?,
+                            });
+                        }
+                    }
+                }
+                LogicalOp::Match { pattern } => {
+                    let order = order_fn(pattern);
+                    compile_pattern(
+                        pattern,
+                        &order,
+                        &mut layout,
+                        &mut ops,
+                        fused,
+                        push_predicates,
+                    )?;
+                    // Physical column order depends on the visit order; the
+                    // declared layout (declaration order, no internal `__e*`
+                    // columns) must hold the same bindings.
+                    let internal = layout
+                        .aliases()
+                        .filter(|a| a.starts_with(INTERNAL_EDGE))
+                        .count();
+                    let same_bindings = layout.width() - internal == declared.width()
+                        && declared
+                            .aliases()
+                            .enumerate()
+                            .all(|(j, a)| layout.kind_of(a) == Some(declared.kind(j)));
+                    if !same_bindings {
+                        return Err(layout_mismatch(op_idx, &layout, declared));
+                    }
+                    // restore the canonical layout that downstream
+                    // expressions were bound against
+                    if layout.aliases().ne(declared.aliases()) {
+                        let items = declared
+                            .aliases()
+                            .map(|a| {
+                                let col = layout.index_of(a).expect("binding checked above");
+                                (ProjectItem::Expr(Expr::Column(col)), a.to_string())
+                            })
+                            .collect();
+                        ops.push(PhysicalOp::Project { items });
+                        layout = declared.clone();
+                    }
+                }
+                LogicalOp::Select { predicate } => {
+                    ops.push(PhysicalOp::Select {
+                        predicate: predicate.clone(),
+                    });
+                }
+                LogicalOp::Project { items } => {
+                    let mut next = Layout::new();
+                    for (it, name) in items {
+                        let kind = match it {
+                            ProjectItem::Expr(Expr::Column(c)) if *c >= layout.width() => {
+                                return Err(Diagnostic::error(
+                                    E_COLUMN_RANGE,
+                                    format!(
+                                        "column {c} out of range (record width {})",
+                                        layout.width()
+                                    ),
+                                ))
+                            }
+                            ProjectItem::Expr(Expr::Column(c)) => layout.kind(*c).clone(),
+                            _ => ColumnKind::Scalar,
+                        };
+                        if next.push(name, kind).is_err() {
+                            return Err(Diagnostic::error(
+                                E_DUPLICATE_ALIAS,
+                                format!("projection output `{name}` duplicated"),
+                            ));
+                        }
+                    }
+                    ops.push(PhysicalOp::Project {
+                        items: items.clone(),
+                    });
+                    layout = next;
+                }
+                LogicalOp::Order { keys, limit } => {
+                    ops.push(PhysicalOp::Order {
+                        keys: keys.clone(),
+                        limit: *limit,
+                    });
+                }
+                LogicalOp::Dedup { columns } => {
+                    let columns = columns
+                        .iter()
+                        .map(|a| resolve(&layout, a))
+                        .collect::<LowerResult<Vec<_>>>()?;
+                    ops.push(PhysicalOp::Dedup { columns });
+                }
+                LogicalOp::Limit { n } => ops.push(PhysicalOp::Limit { n: *n }),
             }
-            LogicalOp::Order { keys, limit } => {
-                ops.push(PhysicalOp::Order {
-                    keys: keys.clone(),
-                    limit: *limit,
-                });
+            if layout != *declared {
+                return Err(layout_mismatch(op_idx, &layout, declared));
             }
-            LogicalOp::Dedup { columns } => {
-                let cols = columns
-                    .iter()
-                    .map(|a| layout.require(a))
-                    .collect::<Result<Vec<_>>>()?;
-                ops.push(PhysicalOp::Dedup { columns: cols });
-            }
-            LogicalOp::Limit { n } => ops.push(PhysicalOp::Limit { n: *n }),
-        }
+            Ok(())
+        };
+        lower_op().map_err(|d| Diagnostic {
+            op_index: Some(op_idx),
+            ..d
+        })?;
+        origins.resize(ops.len(), op_idx);
     }
-    Ok(PhysicalPlan { ops, layout })
+    Ok((PhysicalPlan { ops, layout }, origins))
+}
+
+/// `E008`: the layout op `op_idx` produces is not the one the plan declares.
+fn layout_mismatch(op_idx: usize, produced: &Layout, declared: &Layout) -> Diagnostic {
+    let want: Vec<&str> = produced.aliases().collect();
+    let got: Vec<&str> = declared.aliases().collect();
+    Diagnostic::error(
+        E_LAYOUT_MISMATCH,
+        format!(
+            "layout after op {op_idx} should be [{}], plan declares [{}]",
+            want.join(", "),
+            got.join(", ")
+        ),
+    )
 }

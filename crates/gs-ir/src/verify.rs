@@ -4,7 +4,9 @@
 //! (`gs-optimizer`) and the execution engines — which makes it the place
 //! where a malformed plan can silently cross a layer boundary and only
 //! blow up (or return wrong rows) deep inside an engine. This module is a
-//! schema-aware static analysis over [`LogicalPlan`] and [`PhysicalPlan`]:
+//! schema-aware static analysis over [`PhysicalPlan`]; a [`LogicalPlan`]
+//! is checked through its naive lowering, with findings anchored to the
+//! logical op that produced them:
 //!
 //! * **type checks** — every operator is checked against the
 //!   [`GraphSchema`] and the flowing [`Layout`]: aliases resolve, column
@@ -26,9 +28,8 @@
 //! `flexbuild` folds rejections into its structured build errors.
 
 use crate::expr::{BinOp, Expr};
-use crate::logical::{LogicalOp, LogicalPlan, ProjectItem};
-use crate::pattern::Pattern;
-use crate::physical::{ExpandOut, PhysicalOp, PhysicalPlan};
+use crate::logical::{LogicalPlan, ProjectItem};
+use crate::physical::{declaration_order, lower_traced, ExpandOut, PhysicalOp, PhysicalPlan};
 use crate::record::{ColumnKind, Layout};
 use gs_graph::schema::GraphSchema;
 use gs_graph::{GraphError, LabelId, Result, ValueType};
@@ -97,6 +98,26 @@ pub struct Diagnostic {
     /// The rewrite rule that produced the offending plan, if known.
     pub rule: Option<String>,
     pub message: String,
+}
+
+impl Diagnostic {
+    /// An error with no op anchor or rule yet.
+    pub(crate) fn error(code: &'static str, message: String) -> Self {
+        Self {
+            code,
+            severity: Severity::Error,
+            op_index: None,
+            rule: None,
+            message,
+        }
+    }
+}
+
+/// A failed lowering surfaces as a query error carrying the diagnostic.
+impl From<Diagnostic> for GraphError {
+    fn from(d: Diagnostic) -> Self {
+        GraphError::Query(d.to_string())
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -563,48 +584,6 @@ impl<'a> Checker<'a> {
             }
         }
     }
-
-    /// Structural + schema checks over a `Match` pattern.
-    fn check_pattern(&mut self, pattern: &Pattern) {
-        if let Err(e) = pattern.validate() {
-            self.error(E_BAD_PATTERN, e.to_string());
-            return;
-        }
-        for pv in &pattern.vertices {
-            if self.check_vlabel(pv.label) {
-                if let Some(p) = &pv.predicate {
-                    let kinds = [ColumnKind::Vertex(pv.label)];
-                    self.check_predicate(p, &kinds, &format!("pattern vertex `{}`", pv.alias));
-                }
-            }
-        }
-        for pe in &pattern.edges {
-            if !self.check_elabel(pe.label) {
-                continue;
-            }
-            let def = self.schema.edge_label(pe.label).expect("checked");
-            let (src, dst, name) = (def.src, def.dst, def.name.clone());
-            let sl = pattern.vertices[pe.src].label;
-            let dl = pattern.vertices[pe.dst].label;
-            if sl != src || dl != dst {
-                self.error(
-                    E_ENDPOINT_MISMATCH,
-                    format!(
-                        "pattern edge `{}` connects {sl:?}->{dl:?}, schema says {src:?}->{dst:?}",
-                        pe.alias.as_deref().unwrap_or(&name)
-                    ),
-                );
-            }
-            if let Some(p) = &pe.predicate {
-                let kinds = [ColumnKind::Edge(pe.label)];
-                self.check_predicate(
-                    p,
-                    &kinds,
-                    &format!("pattern edge `{}`", pe.alias.as_deref().unwrap_or(&name)),
-                );
-            }
-        }
-    }
 }
 
 /// Column kinds of a layout, in column order.
@@ -618,312 +597,23 @@ fn layout_kinds(layout: &Layout) -> Vec<ColumnKind> {
 // Logical verification
 // ---------------------------------------------------------------------
 
-/// Verifies a logical plan against a schema.
+/// Verifies a logical plan against a schema through its naive lowering:
+/// a plan that cannot be lowered reports the lowering's diagnostic, and
+/// every finding on the lowered plan is anchored back to the logical op
+/// that produced the offending physical op.
 pub fn verify_logical(plan: &LogicalPlan, schema: &GraphSchema) -> VerifyReport {
-    let mut c = Checker::new(schema);
-    if plan.layouts.len() != plan.ops.len() + 1 {
-        c.error(
-            E_LAYOUT_MISMATCH,
-            format!(
-                "plan has {} ops but {} layouts (want ops+1)",
-                plan.ops.len(),
-                plan.layouts.len()
-            ),
-        );
-        return c.finish();
+    match lower_traced(plan, false, false, declaration_order) {
+        Ok((physical, origins)) => {
+            let mut report = verify_physical(&physical, schema);
+            for d in &mut report.diagnostics {
+                d.op_index = d.op_index.map(|i| origins[i]);
+            }
+            report
+        }
+        Err(d) => VerifyReport {
+            diagnostics: vec![d],
+        },
     }
-    for (i, op) in plan.ops.iter().enumerate() {
-        c.op_index = Some(i);
-        let input = &plan.layouts[i];
-        let kinds = layout_kinds(input);
-        let expected = logical_output_layout(&mut c, op, input, &kinds, &plan.layouts[i + 1]);
-        if let Some(exp) = expected {
-            if exp != plan.layouts[i + 1] {
-                let want: Vec<&str> = exp.aliases().collect();
-                let got: Vec<&str> = plan.layouts[i + 1].aliases().collect();
-                c.error(
-                    E_LAYOUT_MISMATCH,
-                    format!(
-                        "layout after op {i} should be [{}], plan declares [{}]",
-                        want.join(", "),
-                        got.join(", ")
-                    ),
-                );
-            }
-        }
-    }
-    c.op_index = None;
-    lint_logical(&mut c, plan);
-    c.finish()
-}
-
-/// Checks one logical op against its input layout and returns the layout
-/// it should produce (`None` when an error prevents computing it).
-fn logical_output_layout(
-    c: &mut Checker,
-    op: &LogicalOp,
-    input: &Layout,
-    kinds: &[ColumnKind],
-    declared: &Layout,
-) -> Option<Layout> {
-    let extend = |c: &mut Checker, alias: &str, kind: ColumnKind| -> Option<Layout> {
-        let mut out = input.clone();
-        if out.push(alias, kind).is_err() {
-            c.error(
-                E_DUPLICATE_ALIAS,
-                format!("alias `{alias}` already bound in this stage"),
-            );
-            return None;
-        }
-        Some(out)
-    };
-    match op {
-        LogicalOp::ScanVertex {
-            alias,
-            label,
-            predicate,
-        } => {
-            if !c.check_vlabel(*label) {
-                return None;
-            }
-            if let Some(p) = predicate {
-                c.check_predicate(p, &[ColumnKind::Vertex(*label)], "scan");
-            }
-            if input.width() > 0 {
-                c.warn(
-                    W_CROSS_PRODUCT,
-                    format!(
-                        "scan of `{alias}` cross-products with {} bound columns",
-                        input.width()
-                    ),
-                );
-            }
-            extend(c, alias, ColumnKind::Vertex(*label))
-        }
-        LogicalOp::ExpandEdge {
-            src,
-            elabel,
-            dir,
-            alias,
-            predicate,
-        } => {
-            let Some(col) = input.index_of(src) else {
-                c.error(E_UNKNOWN_ALIAS, unknown_alias_message(src, input));
-                return None;
-            };
-            let ColumnKind::Vertex(sl) = input.kind(col) else {
-                c.error(
-                    E_KIND_MISMATCH,
-                    format!(
-                        "expand source `{src}` is {:?}, expected vertex",
-                        input.kind(col)
-                    ),
-                );
-                return None;
-            };
-            c.check_endpoints(*sl, *elabel, *dir, None);
-            if let Some(p) = predicate {
-                c.check_predicate(p, &[ColumnKind::Edge(*elabel)], "expand");
-            }
-            extend(c, alias, ColumnKind::Edge(*elabel))
-        }
-        LogicalOp::GetVertex {
-            edge,
-            alias,
-            predicate,
-        } => {
-            let Some(col) = input.index_of(edge) else {
-                c.error(E_UNKNOWN_ALIAS, unknown_alias_message(edge, input));
-                return None;
-            };
-            let ColumnKind::Edge(el) = input.kind(col) else {
-                c.error(
-                    E_KIND_MISMATCH,
-                    format!(
-                        "get-vertex input `{edge}` is {:?}, expected edge",
-                        input.kind(col)
-                    ),
-                );
-                return None;
-            };
-            // the produced vertex label is whatever the binder declared;
-            // require it to be an endpoint of the edge label
-            let Some(ColumnKind::Vertex(vl)) = declared.kind_of(alias).cloned() else {
-                c.error(
-                    E_LAYOUT_MISMATCH,
-                    format!(
-                        "get-vertex target `{alias}` has no vertex kind in the declared layout"
-                    ),
-                );
-                return None;
-            };
-            if let Ok(def) = c.schema.edge_label(*el) {
-                if vl != def.src && vl != def.dst {
-                    c.error(
-                        E_ENDPOINT_MISMATCH,
-                        format!(
-                            "get-vertex binds `{alias}` to {vl:?}, but `{}` connects {:?}-{:?}",
-                            def.name, def.src, def.dst
-                        ),
-                    );
-                }
-            } else {
-                c.error(E_UNKNOWN_LABEL, format!("unknown edge label {el:?}"));
-            }
-            if let Some(p) = predicate {
-                c.check_predicate(p, &[ColumnKind::Vertex(vl)], "get-vertex");
-            }
-            extend(c, alias, ColumnKind::Vertex(vl))
-        }
-        LogicalOp::Match { pattern } => {
-            c.check_pattern(pattern);
-            // mirror PlanBuilder::match_pattern: unbound vertices in
-            // declaration order, then aliased edges
-            let mut out = input.clone();
-            for pv in &pattern.vertices {
-                if out.index_of(&pv.alias).is_none()
-                    && out.push(&pv.alias, ColumnKind::Vertex(pv.label)).is_err()
-                {
-                    c.error(
-                        E_DUPLICATE_ALIAS,
-                        format!("pattern vertex alias `{}` collides", pv.alias),
-                    );
-                    return None;
-                }
-            }
-            for pe in &pattern.edges {
-                if let Some(a) = &pe.alias {
-                    if out.push(a, ColumnKind::Edge(pe.label)).is_err() {
-                        c.error(
-                            E_DUPLICATE_ALIAS,
-                            format!("pattern edge alias `{a}` collides"),
-                        );
-                        return None;
-                    }
-                }
-            }
-            Some(out)
-        }
-        LogicalOp::Select { predicate } => {
-            c.check_predicate(predicate, kinds, "select");
-            Some(input.clone())
-        }
-        LogicalOp::Project { items } => {
-            let mut out = Layout::new();
-            for (it, name) in items {
-                let kind = match it {
-                    ProjectItem::Expr(e) => {
-                        c.expr_type(e, kinds);
-                        match e {
-                            Expr::Column(col) => {
-                                kinds.get(*col).cloned().unwrap_or(ColumnKind::Scalar)
-                            }
-                            _ => ColumnKind::Scalar,
-                        }
-                    }
-                    ProjectItem::Agg(_, e) => {
-                        c.expr_type(e, kinds);
-                        ColumnKind::Scalar
-                    }
-                };
-                if out.push(name, kind).is_err() {
-                    c.error(
-                        E_DUPLICATE_ALIAS,
-                        format!("projection output `{name}` duplicated"),
-                    );
-                    return None;
-                }
-            }
-            Some(out)
-        }
-        LogicalOp::Order { keys, .. } => {
-            for (e, _) in keys {
-                c.expr_type(e, kinds);
-            }
-            Some(input.clone())
-        }
-        LogicalOp::Dedup { columns } => {
-            for a in columns {
-                if input.index_of(a).is_none() {
-                    c.error(E_UNKNOWN_ALIAS, unknown_alias_message(a, input));
-                }
-            }
-            Some(input.clone())
-        }
-        LogicalOp::Limit { .. } => Some(input.clone()),
-    }
-}
-
-fn unknown_alias_message(alias: &str, layout: &Layout) -> String {
-    let avail: Vec<&str> = layout.aliases().collect();
-    if avail.is_empty() {
-        format!("unknown alias `{alias}` (no aliases bound)")
-    } else {
-        format!("unknown alias `{alias}` (available: {})", avail.join(", "))
-    }
-}
-
-/// Plan-smell lints over a logical plan.
-fn lint_logical(c: &mut Checker, plan: &LogicalPlan) {
-    let reduces = |op: &LogicalOp| -> bool {
-        match op {
-            LogicalOp::Select { .. } | LogicalOp::Limit { .. } | LogicalOp::Dedup { .. } => true,
-            LogicalOp::Order { limit, .. } => limit.is_some(),
-            LogicalOp::Project { items } => items
-                .iter()
-                .any(|(it, _)| matches!(it, ProjectItem::Agg(..))),
-            LogicalOp::ScanVertex { predicate, .. } => predicate.is_some(),
-            LogicalOp::ExpandEdge { predicate, .. } | LogicalOp::GetVertex { predicate, .. } => {
-                predicate.is_some()
-            }
-            LogicalOp::Match { pattern } => {
-                pattern.vertices.iter().any(|v| v.predicate.is_some())
-                    || pattern.edges.iter().any(|e| e.predicate.is_some())
-            }
-        }
-    };
-    let mut aggregated = false;
-    let mut saw_order = false;
-    for (i, op) in plan.ops.iter().enumerate() {
-        c.op_index = Some(i);
-        match op {
-            LogicalOp::ScanVertex {
-                alias, predicate, ..
-            } if predicate.is_none() && !plan.ops[i + 1..].iter().any(reduces) => {
-                c.warn(
-                    W_UNBOUNDED_SCAN,
-                    format!("scan of `{alias}` has no predicate and nothing downstream bounds it"),
-                );
-            }
-            LogicalOp::Project { items }
-                if items
-                    .iter()
-                    .any(|(it, _)| matches!(it, ProjectItem::Agg(..))) =>
-            {
-                aggregated = true;
-            }
-            LogicalOp::Order { limit, .. } => {
-                saw_order = true;
-                let later_limit = plan.ops[i + 1..]
-                    .iter()
-                    .any(|o| matches!(o, LogicalOp::Limit { .. }));
-                if limit.is_none() && !later_limit && !aggregated {
-                    c.warn(
-                        W_ORDER_NO_LIMIT,
-                        "order over unaggregated input with no limit".to_string(),
-                    );
-                }
-            }
-            LogicalOp::Dedup { .. } if saw_order => {
-                c.warn(
-                    W_DEDUP_AFTER_ORDER,
-                    "dedup after order; deduplicating first is cheaper".to_string(),
-                );
-            }
-            _ => {}
-        }
-    }
-    c.op_index = None;
 }
 
 // ---------------------------------------------------------------------
@@ -1236,7 +926,8 @@ mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
     use crate::expr::AggFunc;
-    use crate::pattern::{PatternEdge, PatternVertex};
+    use crate::logical::LogicalOp;
+    use crate::pattern::{Pattern, PatternEdge, PatternVertex};
     use crate::physical::lower_naive;
     use gs_graph::{Value, ValueType};
 
@@ -1271,6 +962,29 @@ mod tests {
             ops,
             layout: Layout::new(),
         }
+    }
+
+    fn layout_of(columns: &[(&str, ColumnKind)]) -> Layout {
+        let mut l = Layout::new();
+        for (alias, kind) in columns {
+            l.push(alias, kind.clone()).unwrap();
+        }
+        l
+    }
+
+    fn scan_vertex(alias: &str, label: LabelId) -> LogicalOp {
+        LogicalOp::ScanVertex {
+            alias: alias.into(),
+            label,
+            predicate: None,
+        }
+    }
+
+    /// Op index of the only diagnostic with `code`.
+    fn anchor(rep: &VerifyReport, code: &str) -> Option<usize> {
+        let found: Vec<_> = rep.diagnostics.iter().filter(|d| d.code == code).collect();
+        assert_eq!(found.len(), 1, "{}", rep.render());
+        found[0].op_index
     }
 
     #[test]
@@ -1308,6 +1022,44 @@ mod tests {
         let rep = verify_physical(&phys(vec![scan(LabelId(9))]), &s);
         assert!(rep.has_code(E_UNKNOWN_LABEL), "{}", rep.render());
         assert!(rep.error_count() > 0);
+        // logical: the scan's predicate lowers to a second physical op, yet
+        // the finding anchors to the logical expand
+        let vpred = Expr::bin(
+            BinOp::Gt,
+            Expr::VertexProp {
+                col: 0,
+                label: PERSON,
+                prop: gs_graph::PropId(1),
+            },
+            Expr::Const(Value::Int(30)),
+        );
+        let a = layout_of(&[("a", ColumnKind::Vertex(PERSON))]);
+        let plan = LogicalPlan {
+            ops: vec![
+                LogicalOp::ScanVertex {
+                    alias: "a".into(),
+                    label: PERSON,
+                    predicate: Some(vpred),
+                },
+                LogicalOp::ExpandEdge {
+                    src: "a".into(),
+                    elabel: LabelId(9),
+                    dir: Direction::Out,
+                    alias: "e".into(),
+                    predicate: None,
+                },
+            ],
+            layouts: vec![
+                Layout::new(),
+                a,
+                layout_of(&[
+                    ("a", ColumnKind::Vertex(PERSON)),
+                    ("e", ColumnKind::Edge(LabelId(9))),
+                ]),
+            ],
+        };
+        let rep = verify_logical(&plan, &s);
+        assert_eq!(anchor(&rep, E_UNKNOWN_LABEL), Some(1));
     }
 
     #[test]
@@ -1359,6 +1111,37 @@ mod tests {
             &s,
         );
         assert!(rep.has_code(E_KIND_MISMATCH), "{}", rep.render());
+        // logical: expand from an edge alias
+        let a = [("a", ColumnKind::Vertex(PERSON))];
+        let ae = [a[0].clone(), ("e", ColumnKind::Edge(BUY))];
+        let aef = [ae[0].clone(), ae[1].clone(), ("f", ColumnKind::Edge(KNOWS))];
+        let plan = LogicalPlan {
+            ops: vec![
+                scan_vertex("a", PERSON),
+                LogicalOp::ExpandEdge {
+                    src: "a".into(),
+                    elabel: BUY,
+                    dir: Direction::Out,
+                    alias: "e".into(),
+                    predicate: None,
+                },
+                LogicalOp::ExpandEdge {
+                    src: "e".into(),
+                    elabel: KNOWS,
+                    dir: Direction::Out,
+                    alias: "f".into(),
+                    predicate: None,
+                },
+            ],
+            layouts: vec![
+                Layout::new(),
+                layout_of(&a),
+                layout_of(&ae),
+                layout_of(&aef),
+            ],
+        };
+        let rep = verify_logical(&plan, &s);
+        assert_eq!(anchor(&rep, E_KIND_MISMATCH), Some(2));
     }
 
     #[test]
@@ -1416,6 +1199,24 @@ mod tests {
             &s,
         );
         assert!(rep.has_code(E_COLUMN_RANGE), "{}", rep.render());
+        // logical: a projected column out of range fails lowering instead
+        // of panicking in it
+        let plan = LogicalPlan {
+            ops: vec![
+                scan_vertex("a", PERSON),
+                LogicalOp::Project {
+                    items: vec![(ProjectItem::Expr(Expr::Column(5)), "x".into())],
+                },
+            ],
+            layouts: vec![
+                Layout::new(),
+                layout_of(&[("a", ColumnKind::Vertex(PERSON))]),
+                layout_of(&[("x", ColumnKind::Scalar)]),
+            ],
+        };
+        let err = lower_naive(&plan).unwrap_err().to_string();
+        assert!(err.contains("E005"), "{err}");
+        assert_eq!(anchor(&verify_logical(&plan, &s), E_COLUMN_RANGE), Some(1));
     }
 
     #[test]
@@ -1501,6 +1302,42 @@ mod tests {
         };
         let rep = verify_logical(&plan, &s);
         assert!(rep.has_code(E_LAYOUT_MISMATCH), "{}", rep.render());
+        // logical: an intermediate declared layout disagrees with the op
+        // (the final one is right)
+        let plan = LogicalPlan {
+            ops: vec![scan_vertex("a", PERSON), LogicalOp::Limit { n: 5 }],
+            layouts: vec![
+                Layout::new(),
+                layout_of(&[("a", ColumnKind::Vertex(ITEM))]),
+                layout_of(&[("a", ColumnKind::Vertex(PERSON))]),
+            ],
+        };
+        let rep = verify_logical(&plan, &s);
+        assert_eq!(anchor(&rep, E_LAYOUT_MISMATCH), Some(0));
+        // lowering a plan with no layout after its last op fails instead
+        // of panicking
+        let a = [("a", ColumnKind::Vertex(PERSON))];
+        let ae = [a[0].clone(), ("e", ColumnKind::Edge(BUY))];
+        let plan = LogicalPlan {
+            ops: vec![
+                scan_vertex("a", PERSON),
+                LogicalOp::ExpandEdge {
+                    src: "a".into(),
+                    elabel: BUY,
+                    dir: Direction::Out,
+                    alias: "e".into(),
+                    predicate: None,
+                },
+                LogicalOp::GetVertex {
+                    edge: "e".into(),
+                    alias: "i".into(),
+                    predicate: None,
+                },
+            ],
+            layouts: vec![Layout::new(), layout_of(&a), layout_of(&ae)],
+        };
+        let err = lower_naive(&plan).unwrap_err().to_string();
+        assert!(err.contains("E008"), "{err}");
     }
 
     #[test]
@@ -1554,6 +1391,14 @@ mod tests {
             &s,
         );
         assert!(rep.has_code(E_DUPLICATE_ALIAS), "{}", rep.render());
+        // logical: the same alias scanned twice
+        let a = layout_of(&[("a", ColumnKind::Vertex(PERSON))]);
+        let plan = LogicalPlan {
+            ops: vec![scan_vertex("a", PERSON), scan_vertex("a", PERSON)],
+            layouts: vec![Layout::new(), a.clone(), a],
+        };
+        let rep = verify_logical(&plan, &s);
+        assert_eq!(anchor(&rep, E_DUPLICATE_ALIAS), Some(1));
     }
 
     #[test]

@@ -48,8 +48,10 @@ impl Frontend {
 
     /// The full pipeline: parse → lower → optimize → verify, exactly once.
     ///
-    /// The front-end parser verifies the logical plan at its boundary; the
-    /// optimizer's output is then irlint-verified against `schema` here, so
+    /// The front-end parser verifies the logical plan at its boundary
+    /// (through its naive lowering); the optimizer, which only runs its
+    /// rewrite rules, hands back a physical plan that is then
+    /// irlint-verified against `schema` here, so
     /// a [`CompiledQuery`] is *known-good* — executors may skip submit-time
     /// verification for plans that came through this surface (that is what
     /// the prepared-statement path does).

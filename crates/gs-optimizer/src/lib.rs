@@ -13,11 +13,9 @@ pub mod rbo;
 pub use glogue::{cbo_order, order_cost, GlogueCatalog};
 
 use gs_graph::schema::GraphSchema;
-use gs_ir::cost::{cost_logical, cost_physical, CostBudget, W_COST_INCREASE};
 use gs_ir::logical::LogicalPlan;
-use gs_ir::physical::{lower_naive, lower_with, PhysicalPlan};
-use gs_ir::verify::Severity;
-use gs_ir::{verify_logical, verify_physical, Diagnostic, Result};
+use gs_ir::physical::{declaration_order, lower_with, PhysicalPlan};
+use gs_ir::{verify_logical, verify_physical, Result};
 
 /// Which optimizations to apply.
 #[derive(Clone, Debug)]
@@ -76,62 +74,6 @@ pub fn verify_rewrite_physical(
     verify_physical(plan, schema).with_rule(rule).check(rule)
 }
 
-/// Estimated plan cost (total estimated intermediate rows) before and
-/// after one rewrite rule ran — the first real CBO signal: rules are
-/// ranked by benefit and a rule that *increases* cost is flagged `C303`
-/// with its name attached.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RewriteCost {
-    pub rule: &'static str,
-    pub before_est: f64,
-    pub after_est: f64,
-}
-
-impl RewriteCost {
-    /// Estimated rows saved by the rule (negative = it made things worse).
-    pub fn benefit(&self) -> f64 {
-        self.before_est - self.after_est
-    }
-}
-
-/// Cost attribution for one `optimize` run.
-#[derive(Clone, Debug, Default)]
-pub struct OptimizeTrace {
-    /// One entry per rewrite stage, in application order.
-    pub rules: Vec<RewriteCost>,
-    /// `C303` warnings for cost-increasing rules (rule-attributed).
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl OptimizeTrace {
-    /// Rules sorted by estimated benefit, best first.
-    pub fn ranked(&self) -> Vec<&RewriteCost> {
-        let mut r: Vec<&RewriteCost> = self.rules.iter().collect();
-        r.sort_by(|a, b| b.benefit().total_cmp(&a.benefit()));
-        r
-    }
-
-    fn record(&mut self, rule: &'static str, before: f64, after: f64, check_increase: bool) {
-        self.rules.push(RewriteCost {
-            rule,
-            before_est: before,
-            after_est: after,
-        });
-        // small relative slack: estimate noise isn't a regression
-        if check_increase && after > before * 1.01 && after.is_finite() {
-            self.diagnostics.push(Diagnostic {
-                code: W_COST_INCREASE,
-                severity: Severity::Warning,
-                op_index: None,
-                rule: Some(rule.to_string()),
-                message: format!(
-                    "rewrite increased estimated plan cost: {before:.1} → {after:.1} rows"
-                ),
-            });
-        }
-    }
-}
-
 impl Optimizer {
     /// Full optimization with statistics.
     pub fn new(catalog: GlogueCatalog) -> Self {
@@ -180,83 +122,41 @@ impl Optimizer {
         self
     }
 
-    /// Compiles a logical plan to an optimized physical plan.
+    /// Compiles a logical plan to an optimized physical plan: filter
+    /// pushdown, lowering (in GLogue order when `cbo` has a catalog), then
+    /// EdgeVertexFusion, each re-verified under [`with_verify`](Self::with_verify).
     pub fn optimize(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {
-        self.optimize_traced(plan).map(|(p, _)| p)
-    }
-
-    /// [`optimize`](Self::optimize), also returning per-rule cost
-    /// attribution: each rewrite is costed before/after with the catalog's
-    /// statistics (conservative defaults without one) and checked
-    /// cost-non-increasing (`C303` warning otherwise, attributed to the
-    /// rule). `trace.ranked()` orders rules by estimated benefit.
-    pub fn optimize_traced(&self, plan: &LogicalPlan) -> Result<(PhysicalPlan, OptimizeTrace)> {
-        let stats = self.catalog.as_ref().map(|c| c.to_cost_stats());
-        let budget = CostBudget::default();
-        let lcost = |p: &LogicalPlan| cost_logical(p, stats.as_ref(), &budget).total_est_rows;
-        let pcost = |p: &PhysicalPlan| cost_physical(p, stats.as_ref(), &budget).total_est_rows;
-        let mut trace = OptimizeTrace::default();
-
-        let pre_push_cost = lcost(plan);
+        let pushed;
         let logical = if self.config.filter_push {
-            let pushed = rbo::push_filters(plan)?;
+            pushed = rbo::push_filters(plan)?;
             if let Some(s) = &self.verify_schema {
                 verify_rewrite_logical("FilterPushIntoMatch", &pushed, s)?;
             }
-            trace.record("FilterPushIntoMatch", pre_push_cost, lcost(&pushed), true);
-            pushed
+            &pushed
         } else {
-            plan.clone()
+            plan
         };
-        let logical_cost = lcost(&logical);
-        let physical = if !self.config.fusion && !self.config.filter_push && !self.config.cbo {
-            let p = lower_naive(&logical)?;
-            // cross-stage (logical → physical): recorded, never a C303
-            trace.record("Lowering", logical_cost, pcost(&p), false);
-            p
-        } else {
-            let catalog = self.catalog.clone();
-            let use_cbo = self.config.cbo && catalog.is_some();
-            let lower_ordered = |cbo: bool| {
-                let catalog = catalog.clone();
-                lower_with(
-                    &logical,
-                    self.config.fusion,
-                    self.config.filter_push,
-                    move |pattern| {
-                        if cbo {
-                            cbo_order(pattern, catalog.as_ref().unwrap())
-                        } else {
-                            (0..pattern.vertices.len()).collect()
-                        }
-                    },
-                )
-            };
-            let p = lower_ordered(use_cbo)?;
-            let ordered_cost = pcost(&p);
-            trace.record("Lowering", logical_cost, ordered_cost, false);
-            if use_cbo {
-                // the CBO's contribution = cost vs declaration-order lowering
-                let identity_cost = pcost(&lower_ordered(false)?);
-                trace.record("GlogueOrder", identity_cost, ordered_cost, true);
-            }
-            p
-        };
+        let catalog = self.catalog.as_ref().filter(|_| self.config.cbo);
+        let physical = lower_with(
+            logical,
+            self.config.fusion,
+            self.config.filter_push,
+            |pattern| match catalog {
+                Some(c) => cbo_order(pattern, c),
+                None => declaration_order(pattern),
+            },
+        )?;
         if let Some(s) = &self.verify_schema {
             verify_rewrite_physical("Lowering", &physical, s)?;
         }
-        let physical = if self.config.fusion {
-            let before = pcost(&physical);
-            let fused = rbo::fuse_expand_get_vertex(&physical);
-            if let Some(s) = &self.verify_schema {
-                verify_rewrite_physical("EdgeVertexFusion", &fused, s)?;
-            }
-            trace.record("EdgeVertexFusion", before, pcost(&fused), true);
-            fused
-        } else {
-            physical
-        };
-        Ok((physical, trace))
+        if !self.config.fusion {
+            return Ok(physical);
+        }
+        let fused = rbo::fuse_expand_get_vertex(&physical);
+        if let Some(s) = &self.verify_schema {
+            verify_rewrite_physical("EdgeVertexFusion", &fused, s)?;
+        }
+        Ok(fused)
     }
 }
 
@@ -267,6 +167,7 @@ mod tests {
     use gs_graph::Value;
     use gs_grin::graph::mock::MockGraph;
     use gs_grin::GrinGraph;
+    use gs_ir::cost::{cost_physical, CostBudget};
     use gs_ir::exec::execute;
     use gs_ir::expr::BinOp;
     use gs_ir::logical::ProjectItem;
@@ -358,52 +259,56 @@ mod tests {
         }
     }
 
+    /// No rule may raise the estimated cost of the optimized triangle
+    /// plan: the full config is compared with the same config minus each
+    /// rule (minus `cbo` lowers the pattern in declaration order).
     #[test]
-    fn trace_attributes_cost_to_rules() {
+    fn no_rule_raises_estimated_cost() {
         let g = mock();
         let s = schema(&g);
         let plan = triangle_plan(&s);
-        let opt = Optimizer::new(GlogueCatalog::build(&g, 100));
-        let (_, trace) = opt.optimize_traced(&plan).unwrap();
-        let names: Vec<&str> = trace.rules.iter().map(|r| r.rule).collect();
-        assert_eq!(
-            names,
-            vec![
-                "FilterPushIntoMatch",
-                "Lowering",
-                "GlogueOrder",
-                "EdgeVertexFusion"
-            ]
-        );
-        // no rule may increase estimated cost on the triangle query
-        assert!(trace.diagnostics.is_empty(), "{:?}", trace.diagnostics);
-        // ranked() orders by benefit, best first
-        let ranked = trace.ranked();
-        for w in ranked.windows(2) {
-            assert!(w[0].benefit() >= w[1].benefit());
+        let catalog = GlogueCatalog::build(&g, 100);
+        let stats = catalog.to_cost_stats();
+        let cost = |config: OptimizerConfig| {
+            let opt = Optimizer::with_config(config, Some(catalog.clone()));
+            cost_physical(
+                &opt.optimize(&plan).unwrap(),
+                Some(&stats),
+                &CostBudget::default(),
+            )
+            .total_est_rows
+        };
+        let all = OptimizerConfig::default();
+        let with_all = cost(all.clone());
+        for (rule, without) in [
+            (
+                "filter_push",
+                OptimizerConfig {
+                    filter_push: false,
+                    ..all.clone()
+                },
+            ),
+            (
+                "fusion",
+                OptimizerConfig {
+                    fusion: false,
+                    ..all.clone()
+                },
+            ),
+            (
+                "cbo",
+                OptimizerConfig {
+                    cbo: false,
+                    ..all.clone()
+                },
+            ),
+        ] {
+            let before = cost(without);
+            assert!(
+                with_all <= before,
+                "{rule} raised the estimate: {before} -> {with_all}"
+            );
         }
-        // fusion removes ops, so it must save estimated rows
-        let fusion = trace
-            .rules
-            .iter()
-            .find(|r| r.rule == "EdgeVertexFusion")
-            .unwrap();
-        assert!(fusion.benefit() >= 0.0);
-    }
-
-    #[test]
-    fn c303_fires_when_a_rewrite_raises_cost() {
-        // directly exercise the trace bookkeeping: a cost increase past
-        // the slack threshold yields a rule-attributed C303 warning
-        let mut trace = OptimizeTrace::default();
-        trace.record("BadRule", 10.0, 100.0, true);
-        trace.record("CrossStage", 10.0, 100.0, false);
-        trace.record("GoodRule", 100.0, 10.0, true);
-        assert_eq!(trace.diagnostics.len(), 1);
-        let d = &trace.diagnostics[0];
-        assert_eq!(d.code, gs_ir::cost::W_COST_INCREASE);
-        assert_eq!(d.rule.as_deref(), Some("BadRule"));
-        assert_eq!(trace.ranked()[0].rule, "GoodRule");
     }
 
     #[test]
