@@ -1,4 +1,4 @@
-//! `gs-bench analytics` — layout × algorithm throughput matrix.
+//! `gate analytics` — layout × algorithm throughput matrix.
 //!
 //! Benchmarks the pluggable-topology work end to end on seeded gs-datagen
 //! graphs: every [`LayoutKind`] (plain, sorted, compressed CSR) runs the
@@ -10,12 +10,14 @@
 //! a layout or traversal mode that changes results is a failed run, not a
 //! fast one.
 //!
-//! Results go to `BENCH_analytics.json`. With `--deny`, exits non-zero if
-//! direction-optimizing BFS is slower than the push-only baseline on the
-//! default layout — the regression gate CI runs.
+//! Results go to `BENCH_analytics.json`. Direction-optimizing BFS slower
+//! than the push-only baseline on the default layout is a gate warning, so
+//! it fails the run under `--deny` — the regression gate CI runs.
 
 use std::time::Instant;
 
+use crate::gate::{GateArgs, GateReport};
+use crate::util::TablePrinter;
 use gs_datagen::{powerlaw, rmat};
 use gs_grape::algorithms::{self, triangle_count};
 use gs_grape::traversal::{bfs_with_policy, sssp_with_policy, TraversalPolicy};
@@ -276,17 +278,14 @@ impl AnalyticsReport {
     }
 }
 
-/// CLI entry (`gs-bench analytics`): runs, writes the report, prints the
-/// table, and enforces the `--deny` gate. Returns the process exit code.
-pub fn run_cli(deny: bool, seed: u64, out_path: &str) -> i32 {
-    let cfg = AnalyticsConfig {
-        seed,
+/// The `analytics` gate: one row per layout; a DO-BFS regression is a
+/// warning.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    let report = run(&AnalyticsConfig {
+        seed: args.seed,
         ..Default::default()
-    };
-    let report = run(&cfg);
-    std::fs::write(out_path, report.to_json().render()).expect("write BENCH_analytics.json");
-
-    let mut table = crate::util::TablePrinter::new(&[
+    });
+    let mut table = TablePrinter::new(&[
         "layout",
         "build ms",
         "topo MiB",
@@ -312,20 +311,21 @@ pub fn run_cli(deny: bool, seed: u64, out_path: &str) -> i32 {
             format!("{:.2}", r.triangles_ms),
         ]);
     }
-    table.print();
-    println!(
-        "direction-optimizing BFS speedup (vs push-only, {} layout): {:.2}x",
-        report.rows[0].layout, report.do_bfs_speedup
+    let mut summary = format!(
+        "direction-optimizing BFS speedup (vs push-only, {} layout): {:.2}x\n\
+         galloping triangle speedup (sorted_csr vs csr): {:.2}x",
+        report.rows[0].layout, report.do_bfs_speedup, report.galloping_speedup
     );
-    println!(
-        "galloping triangle speedup (sorted_csr vs csr): {:.2}x",
-        report.galloping_speedup
-    );
-    if deny && !report.do_bfs_ok {
-        eprintln!("DENY: direction-optimizing BFS slower than the push-only baseline");
-        return 1;
+    if !report.do_bfs_ok {
+        summary.push_str("\nwarning: direction-optimizing BFS slower than the push-only baseline");
     }
-    0
+    Ok(GateReport {
+        table,
+        summary,
+        errors: 0,
+        warnings: usize::from(!report.do_bfs_ok),
+        json: Some(report.to_json()),
+    })
 }
 
 #[cfg(test)]
@@ -334,6 +334,10 @@ mod tests {
 
     #[test]
     fn tiny_run_is_consistent_and_serializes() {
+        // under `--features chaos` the chaos corpus test installs a global
+        // fault plan that would kill this run's GRAPE workers; hold the
+        // chaos gate so no plan is installed while it runs
+        let _no_faults = gs_chaos::exclusive();
         let cfg = AnalyticsConfig {
             seed: 7,
             scale: 8,

@@ -1,4 +1,4 @@
-//! `gs-bench chaos` — run a seeded fault-injection corpus and assert
+//! `gate chaos` — run a seeded fault-injection corpus and assert
 //! chaos equivalence: every workload must finish under injected faults
 //! with the same answer a fault-free run produces (byte-identical for the
 //! integer algorithms, within a documented 1e-9 tolerance for PageRank's
@@ -7,48 +7,59 @@
 //!
 //! Mirrors `irlint` and `sanitize` one robustness layer up: the table
 //! lists each workload, the faults the plan actually injected, and the
-//! equivalence verdict; `--deny` turns any failed verdict into a non-zero
-//! exit (the CI bar).
+//! equivalence verdict; every failed verdict is a gate error. The
+//! `durability` gate shares the [`Verdict`] type and its table.
 //!
-//! Only meaningful when built with `--features chaos`; a pass-through
-//! build prints a note and exits 0 so the subcommand is safe to script.
+//! Only meaningful when built with `--features chaos`; without it the
+//! gate driver prints a note and exits 0.
 
-use crate::util::TablePrinter;
+use crate::gate::{GateArgs, GateReport};
+use crate::util::{random_edges, TablePrinter};
 use gs_chaos::{ChaosStats, FaultPlan, RetryPolicy};
 use gs_grape::{GrapeEngine, RecoveryConfig};
 use gs_graph::VId;
 use gs_ir::Value;
-use rand::Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One chaos workload: the faults that fired and the equivalence verdict.
-pub struct ChaosResult {
-    pub workload: &'static str,
+/// One fault-injected workload's result: the faults that fired and the
+/// equivalence verdict.
+pub struct Verdict {
     pub stats: ChaosStats,
     /// `Ok` carries the equivalence summary; `Err` the violation.
-    pub outcome: Result<&'static str, String>,
+    pub outcome: Result<String, String>,
 }
 
-/// A seeded random digraph shared by the BSP workloads.
-fn random_edges(seed: u64, n: usize, degree: usize) -> Vec<(VId, VId)> {
-    let mut rng = rand_pcg::Pcg64Mcg::new(seed as u128);
-    (0..n * degree)
-        .map(|_| {
-            (
-                VId(rng.gen_range(0..n as u64)),
-                VId(rng.gen_range(0..n as u64)),
-            )
-        })
-        .collect()
+/// The verdict table shared by the `chaos` and `durability` gates: one
+/// row per workload, one error per failed verdict.
+pub fn verdict_report(gate: &str, seed: u64, verdicts: &[(&str, Verdict)]) -> GateReport {
+    let mut table = TablePrinter::new(&["workload", "injected", "verdict"]);
+    let failures = verdicts.iter().filter(|(_, v)| v.outcome.is_err()).count();
+    for (workload, v) in verdicts {
+        let verdict = match &v.outcome {
+            Ok(summary) => format!("ok: {summary}"),
+            Err(why) => format!("FAIL: {why}"),
+        };
+        table.row(vec![workload.to_string(), v.stats.render(), verdict]);
+    }
+    GateReport {
+        table,
+        summary: format!(
+            "{gate}: {} workloads checked (seed {seed}), {failures} equivalence failures",
+            verdicts.len()
+        ),
+        errors: failures,
+        warnings: 0,
+        json: None,
+    }
 }
 
 /// PageRank under scheduled worker kills: two workers die at different
 /// supersteps; checkpoint/restart must reproduce the fault-free ranks
 /// within the documented f64 tolerance (the dangling-mass all-reduce sums
 /// in worker-arrival order, so bit equality is not guaranteed).
-fn pagerank_kills(seed: u64) -> ChaosResult {
+fn pagerank_kills(seed: u64) -> Verdict {
     let n = 300;
     let edges = random_edges(seed, n, 5);
     let want = gs_grape::algorithms::pagerank(&GrapeEngine::from_edges(n, &edges, 4), 0.85, 12);
@@ -73,19 +84,15 @@ fn pagerank_kills(seed: u64) -> ChaosResult {
     } else if max_dev > 1e-9 {
         Err(format!("ranks deviate by {max_dev:e} (tolerance 1e-9)"))
     } else {
-        Ok("ranks within 1e-9 of the fault-free run")
+        Ok("ranks within 1e-9 of the fault-free run".to_string())
     };
-    ChaosResult {
-        workload: "pagerank-kills",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// WCC under probabilistic message drop/duplication/delay: the integer
 /// label all-reduce is order-insensitive, so recovery must reproduce the
 /// fault-free labels byte-identically.
-fn wcc_msgfaults(seed: u64) -> ChaosResult {
+fn wcc_msgfaults(seed: u64) -> Verdict {
     let n = 240;
     let mut edges = random_edges(seed.wrapping_add(1), n, 4);
     let back: Vec<(VId, VId)> = edges.iter().map(|&(a, b)| (b, a)).collect();
@@ -107,18 +114,14 @@ fn wcc_msgfaults(seed: u64) -> ChaosResult {
     } else if got != want {
         Err("labels differ from the fault-free run".to_string())
     } else {
-        Ok("labels byte-identical to the fault-free run")
+        Ok("labels byte-identical to the fault-free run".to_string())
     };
-    ChaosResult {
-        workload: "wcc-msgfaults",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// BFS under a mixed plan — a scheduled worker kill *and* probabilistic
 /// message faults in the same run; distances must stay byte-identical.
-fn bfs_mixed(seed: u64) -> ChaosResult {
+fn bfs_mixed(seed: u64) -> Verdict {
     let n = 260;
     let edges = random_edges(seed.wrapping_add(2), n, 5);
     let want = gs_grape::algorithms::bfs(&GrapeEngine::from_edges(n, &edges, 4), VId(0));
@@ -139,19 +142,15 @@ fn bfs_mixed(seed: u64) -> ChaosResult {
     } else if got != want {
         Err("distances differ from the fault-free run".to_string())
     } else {
-        Ok("distances byte-identical to the fault-free run")
+        Ok("distances byte-identical to the fault-free run".to_string())
     };
-    ChaosResult {
-        workload: "bfs-mixed",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// The query service against a slow shard and a shard that dies mid-run:
 /// deadlines, retries, and dead-shard rerouting must mask both — every
 /// call still succeeds.
-fn hiactor_slow_dead(seed: u64) -> ChaosResult {
+fn hiactor_slow_dead(seed: u64) -> Verdict {
     let plan = FaultPlan::new(seed ^ 0x51d)
         .slow_shard(0, Duration::from_millis(3))
         .dead_shard(1, 4);
@@ -171,19 +170,15 @@ fn hiactor_slow_dead(seed: u64) -> ChaosResult {
     } else if failed > 0 {
         Err(format!("{failed}/32 calls failed despite retries"))
     } else {
-        Ok("all 32 calls succeeded despite shard faults")
+        Ok("all 32 calls succeeded despite shard faults".to_string())
     };
-    ChaosResult {
-        workload: "hiactor-slow-dead",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// The sampling/training pipeline over a faulty store: storage-read
 /// bursts exhaust the sampler's retries for some batches; the epoch must
 /// finish with every batch either trained or reported as skipped.
-fn learn_sampler(seed: u64) -> ChaosResult {
+fn learn_sampler(seed: u64) -> Verdict {
     let n = 150;
     let edges: Vec<(u64, u64, f64)> = random_edges(seed.wrapping_add(3), n, 6)
         .into_iter()
@@ -224,60 +219,26 @@ fn learn_sampler(seed: u64) -> ChaosResult {
             stats_epoch.batches, stats_epoch.skipped
         ))
     } else {
-        Ok("epoch finished; every batch trained or reported skipped")
+        Ok("epoch finished; every batch trained or reported skipped".to_string())
     };
-    ChaosResult {
-        workload: "learn-sampler",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// Runs the whole corpus; each workload installs its own exclusive fault
 /// plan so injections attribute cleanly.
-pub fn run_corpus(seed: u64) -> Vec<ChaosResult> {
+pub fn run_corpus(seed: u64) -> Vec<(&'static str, Verdict)> {
     vec![
-        pagerank_kills(seed),
-        wcc_msgfaults(seed),
-        bfs_mixed(seed),
-        hiactor_slow_dead(seed),
-        learn_sampler(seed),
+        ("pagerank-kills", pagerank_kills(seed)),
+        ("wcc-msgfaults", wcc_msgfaults(seed)),
+        ("bfs-mixed", bfs_mixed(seed)),
+        ("hiactor-slow-dead", hiactor_slow_dead(seed)),
+        ("learn-sampler", learn_sampler(seed)),
     ]
 }
 
-/// Runs the corpus and prints the equivalence table. With `deny`, any
-/// failed verdict makes the exit code non-zero (the CI bar).
-pub fn run(deny: bool, seed: u64) -> i32 {
-    if !gs_chaos::COMPILED {
-        println!(
-            "chaos: built without the `chaos` feature — every fault hook is a \
-             no-op (rebuild with `--features chaos`)"
-        );
-        return 0;
-    }
-    let results = run_corpus(seed);
-    let mut table = TablePrinter::new(&["workload", "injected", "verdict"]);
-    let mut failures = 0usize;
-    for r in &results {
-        let verdict = match &r.outcome {
-            Ok(summary) => format!("ok: {summary}"),
-            Err(why) => {
-                failures += 1;
-                format!("FAIL: {why}")
-            }
-        };
-        table.row(vec![r.workload.to_string(), r.stats.render(), verdict]);
-    }
-    table.print();
-    println!(
-        "chaos: {} workloads checked (seed {seed}), {failures} equivalence failures",
-        results.len()
-    );
-    if deny && failures > 0 {
-        1
-    } else {
-        0
-    }
+/// The `chaos` gate.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    Ok(verdict_report("chaos", args.seed, &run_corpus(args.seed)))
 }
 
 #[cfg(test)]
@@ -286,14 +247,13 @@ mod tests {
     use super::*;
 
     /// The acceptance gate: the whole corpus holds chaos equivalence —
-    /// the `gs-bench chaos --deny` CI bar.
+    /// the `gate chaos --deny` CI bar.
     #[test]
     fn corpus_holds_chaos_equivalence() {
-        for r in run_corpus(42) {
+        for (workload, r) in run_corpus(42) {
             assert!(
                 r.outcome.is_ok(),
-                "{} broke equivalence ({}): {}",
-                r.workload,
+                "{workload} broke equivalence ({}): {}",
                 r.stats.render(),
                 r.outcome.unwrap_err()
             );

@@ -1,11 +1,12 @@
-//! `gs-bench costcheck` — estimator quality and soundness for the
+//! `gate costcheck` — estimator quality and soundness for the
 //! `gs_ir::cost` static analysis (BENCH_cost.json).
 //!
-//! Runs the full irlint corpus (20 SNB BI plans, the §8 fraud/cyber
-//! application queries, the quickstart pair) through the cost analysis
-//! *and* the reference engine: every plan is costed with a catalog built
-//! over its own dataset, executed with [`gs_ir::exec::execute_traced`]
-//! recording actual per-operator cardinalities, and diffed:
+//! Runs the corpus irlint verifies ([`crate::corpus`]: 20 SNB BI plans,
+//! the §8 fraud/cyber application queries, the quickstart pair) through
+//! the cost analysis *and* the reference engine: every plan is costed
+//! with a catalog built over its own dataset, executed with
+//! [`gs_ir::exec::execute_traced`] recording actual per-operator
+//! cardinalities, and diffed:
 //!
 //! * **q-error** `max(est/actual, actual/est)` per operator, with
 //!   p50/p90/p99/max percentiles written to `BENCH_cost.json` — estimator
@@ -17,10 +18,10 @@
 //!   / memory-hog plans must fire `C001`/`C002`/`C003` respectively,
 //!   while the clean corpus must fire none.
 
+use crate::gate::{GateArgs, GateReport};
 use crate::util::TablePrinter;
 use gs_graph::json::Json;
-use gs_graph::schema::GraphSchema;
-use gs_graph::{PropertyGraphData, Value};
+use gs_graph::Value;
 use gs_ir::cost::{
     cost_physical, CostBudget, CostReport, C_CROSS_PRODUCT, C_EXPANSION_BLOWUP, C_MEMORY_BUDGET,
 };
@@ -31,7 +32,6 @@ use gs_ir::verify::Severity;
 use gs_ir::{LogicalPlan, Record};
 use gs_optimizer::{GlogueCatalog, Optimizer};
 use gs_vineyard::VineyardGraph;
-use std::collections::HashMap;
 
 /// Per-operator estimate/actual pair for one query.
 #[derive(Clone, Debug)]
@@ -125,123 +125,13 @@ impl CostcheckReport {
     }
 }
 
-/// One dataset: an executable store plus the logical plans run over it.
-struct Dataset {
-    store: VineyardGraph,
-    schema: GraphSchema,
-    plans: Vec<(String, LogicalPlan)>,
-}
-
-fn datasets() -> Vec<Dataset> {
-    let mut out = Vec::new();
-
-    // ---- LDBC SNB BI 1..=20 ------------------------------------------
-    let snb = gs_datagen::snb::generate(&gs_datagen::snb::SnbConfig::lite(10));
-    let params = gs_flex::snb::BiParams::default();
-    let mut plans = Vec::new();
-    for n in 1..=gs_flex::snb::BI_COUNT {
-        if let Ok(plan) = gs_flex::snb::bi_plan(n, &snb.data.schema, &snb.labels, &params) {
-            plans.push((format!("BI{n}"), plan));
-        }
-    }
-    out.push(Dataset {
-        store: VineyardGraph::build(&snb.data).expect("snb store"),
-        schema: snb.data.schema.clone(),
-        plans,
-    });
-
-    // ---- §8 fraud detection (Cypher frontend) ------------------------
-    let fraud = gs_datagen::apps::fraud_graph(20, 10, 40, 0, 7);
-    let fraud_q = "MATCH (v:Account {id: 0})-[b1:BUY]->(:Item)<-[b2:BUY]-(s:Account) \
-                   WHERE s.id IN $SEEDS AND b1.date - b2.date < 3 AND b2.date - b1.date < 3 \
-                   WITH v, COUNT(s) AS cnt1 \
-                   MATCH (v)-[:KNOWS]-(f:Account), (f)-[b3:BUY]->(:Item)<-[b4:BUY]-(s2:Account) \
-                   WHERE s2.id IN $SEEDS \
-                   WITH v, cnt1, COUNT(s2) AS cnt2 \
-                   WHERE 2 * cnt1 + 1 * cnt2 > 3 \
-                   RETURN v";
-    let mut fraud_params = HashMap::new();
-    fraud_params.insert(
-        "SEEDS".to_string(),
-        Value::List(vec![Value::Int(1), Value::Int(2)]),
-    );
-    let fraud_plan =
-        gs_lang::parse_cypher(fraud_q, &fraud.data.schema, &fraud_params).expect("fraud parses");
-    out.push(Dataset {
-        store: VineyardGraph::build(&fraud.data).expect("fraud store"),
-        schema: fraud.data.schema.clone(),
-        plans: vec![("fraud-cypher".into(), fraud_plan)],
-    });
-
-    // ---- §8 cyber monitoring (Gremlin frontend) ----------------------
-    let cyber = gs_datagen::apps::cyber_graph(4, 1, 1);
-    let cyber_q = "g.V().hasLabel('Host').out('RUNS').out('CONNECTS').dedup()";
-    let cyber_plan = gs_lang::parse_gremlin(cyber_q, &cyber.data.schema).expect("cyber parses");
-    out.push(Dataset {
-        store: VineyardGraph::build(&cyber.data).expect("cyber store"),
-        schema: cyber.data.schema.clone(),
-        plans: vec![("cyber-gremlin".into(), cyber_plan)],
-    });
-
-    // ---- quickstart example (both frontends) -------------------------
-    let (data, schema) = quickstart_data();
-    let cypher = "MATCH (a:Person {name: 'ann'})-[:KNOWS]-(f:Person)-[:BUY]->(i:Item) \
-                  RETURN f.name AS friend, i.price AS price ORDER BY price DESC LIMIT 10";
-    let gremlin =
-        "g.V().hasLabel('Person').has('name', 'ann').out('KNOWS').out('BUY').values('price')";
-    out.push(Dataset {
-        store: VineyardGraph::build(&data).expect("quickstart store"),
-        schema: schema.clone(),
-        plans: vec![
-            (
-                "quickstart-cypher".into(),
-                gs_lang::parse_cypher(cypher, &schema, &HashMap::new()).expect("cypher parses"),
-            ),
-            (
-                "quickstart-gremlin".into(),
-                gs_lang::parse_gremlin(gremlin, &schema).expect("gremlin parses"),
-            ),
-        ],
-    });
-
-    out
-}
-
-/// The graph from `examples/quickstart.rs`, rebuilt so its queries can be
-/// executed here without running the example.
-fn quickstart_data() -> (PropertyGraphData, GraphSchema) {
-    use gs_graph::value::ValueType;
-    let mut schema = GraphSchema::new();
-    let person = schema.add_vertex_label(
-        "Person",
-        &[("name", ValueType::Str), ("age", ValueType::Int)],
-    );
-    let item = schema.add_vertex_label("Item", &[("price", ValueType::Float)]);
-    let knows = schema.add_edge_label("KNOWS", person, person, &[]);
-    let buy = schema.add_edge_label("BUY", person, item, &[("date", ValueType::Date)]);
-    let mut data = PropertyGraphData::new(schema.clone());
-    for (id, name, age) in [(1u64, "ann", 34i64), (2, "bob", 28), (3, "cho", 45)] {
-        data.add_vertex(person, id, vec![Value::Str(name.into()), Value::Int(age)]);
-    }
-    for (id, price) in [(10u64, 9.99f64), (11, 199.0), (12, 3.5)] {
-        data.add_vertex(item, id, vec![Value::Float(price)]);
-    }
-    data.add_edge(knows, 1, 2, vec![]);
-    data.add_edge(knows, 2, 1, vec![]);
-    data.add_edge(knows, 2, 3, vec![]);
-    data.add_edge(knows, 3, 2, vec![]);
-    data.add_edge(buy, 2, 10, vec![Value::Date(15000)]);
-    data.add_edge(buy, 2, 11, vec![Value::Date(15001)]);
-    data.add_edge(buy, 3, 12, vec![Value::Date(15002)]);
-    (data, schema)
-}
-
 fn cost_and_execute(
     name: &str,
-    plan: &LogicalPlan,
+    plan: &gs_graph::Result<LogicalPlan>,
     store: &VineyardGraph,
     catalog: &GlogueCatalog,
 ) -> gs_graph::Result<QueryCost> {
+    let plan = plan.as_ref().map_err(Clone::clone)?;
     let optimizer = Optimizer::new(catalog.clone());
     let physical = optimizer.optimize(plan)?;
     let stats = catalog.to_cost_stats();
@@ -379,29 +269,29 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs the whole costcheck corpus.
+/// Runs the whole costcheck corpus. A query that fails to build, optimize
+/// or execute is one clean-corpus error with no op rows.
 pub fn run() -> CostcheckReport {
     let mut queries = Vec::new();
     let mut quickstart_catalog = None;
-    for ds in datasets() {
-        let catalog = GlogueCatalog::build(&ds.store, 128);
-        for (name, plan) in &ds.plans {
-            match cost_and_execute(name, plan, &ds.store, &catalog) {
-                Ok(q) => queries.push(q),
-                Err(e) => {
-                    eprintln!("costcheck: {name} failed to optimize or execute: {e}");
-                    queries.push(QueryCost {
+    for (data, plans) in crate::corpus::corpus() {
+        let store = VineyardGraph::build(&data).expect("corpus store");
+        let catalog = GlogueCatalog::build(&store, 128);
+        for (name, plan) in &plans {
+            queries.push(
+                cost_and_execute(name, plan, &store, &catalog).unwrap_or_else(|e| {
+                    eprintln!("costcheck: {name} failed to build, optimize or execute: {e}");
+                    QueryCost {
                         query: name.clone(),
                         ops: Vec::new(),
                         errors: 1,
                         violations: 0,
-                    });
-                }
-            }
+                    }
+                }),
+            );
         }
         // quickstart is last; its catalog feeds the pathological plans
         quickstart_catalog = Some(catalog);
-        let _ = &ds.schema;
     }
     let pathological = pathological(&quickstart_catalog.expect("at least one dataset"));
 
@@ -421,14 +311,13 @@ pub fn run() -> CostcheckReport {
     }
 }
 
-/// CLI entry (`gs-bench costcheck`): runs, writes `BENCH_cost.json`,
-/// prints the per-query table, and enforces the `--deny` gate (C-errors
-/// in the clean corpus, soundness violations, or a pathological plan
-/// whose code did not fire). Returns the process exit code.
-pub fn run_cli(deny: bool, out_path: &str) -> i32 {
+/// The `costcheck` gate: one row per query and per pathological plan.
+/// Errors are clean-corpus C-errors (including queries that failed to
+/// run), soundness violations, and pathological plans whose code did not
+/// fire.
+pub fn gate(_: &GateArgs) -> Result<GateReport, String> {
+    gs_telemetry::install(gs_telemetry::Registry::new());
     let report = run();
-    std::fs::write(out_path, report.to_json().render()).expect("write BENCH_cost.json");
-
     let mut table = TablePrinter::new(&["query", "ops", "est rows", "actual", "max q", "sound"]);
     for q in &report.queries {
         let max_q = q
@@ -437,13 +326,18 @@ pub fn run_cli(deny: bool, out_path: &str) -> i32 {
             .filter_map(|o| o.q_error)
             .fold(1.0f64, f64::max);
         let (est, actual) = q.ops.last().map(|o| (o.est, o.actual)).unwrap_or((0.0, 0));
+        let sound = match (q.ops.is_empty(), q.violations) {
+            (true, _) => "FAILED",
+            (false, 0) => "yes",
+            _ => "NO",
+        };
         table.row(vec![
             q.query.clone(),
             q.ops.len().to_string(),
             format!("{est:.1}"),
             actual.to_string(),
             format!("{max_q:.1}"),
-            if q.violations == 0 { "yes" } else { "NO" }.to_string(),
+            sound.to_string(),
         ]);
     }
     for p in &report.pathological {
@@ -456,10 +350,9 @@ pub fn run_cli(deny: bool, out_path: &str) -> i32 {
             if p.fired { "fired" } else { "MISSED" }.to_string(),
         ]);
     }
-    table.print();
-    println!(
+    let summary = format!(
         "\ncostcheck: {} queries, {} op samples, q-error p50 {:.2} p90 {:.2} p99 {:.2} max {:.2}; \
-         {} clean-corpus error(s), {} soundness violation(s), {} pathological missed",
+         {} clean-corpus error(s), {} soundness violation(s), {} pathological missed\n{}",
         report.queries.len(),
         report.q_samples,
         report.q_p50,
@@ -469,15 +362,17 @@ pub fn run_cli(deny: bool, out_path: &str) -> i32 {
         report.clean_errors(),
         report.soundness_violations(),
         report.pathological_missed(),
+        gs_telemetry::global().text_report(),
     );
-    let blocking =
-        report.clean_errors() + report.soundness_violations() + report.pathological_missed();
-    if deny && blocking > 0 {
-        eprintln!("costcheck: {blocking} blocking finding(s)");
-        1
-    } else {
-        0
-    }
+    Ok(GateReport {
+        table,
+        summary,
+        errors: report.clean_errors()
+            + report.soundness_violations()
+            + report.pathological_missed(),
+        warnings: 0,
+        json: Some(report.to_json()),
+    })
 }
 
 #[cfg(test)]
@@ -495,6 +390,14 @@ mod tests {
             "corpus size: {}",
             report.queries.len()
         );
+        // a plan that fails to build is an error row, not a dropped query:
+        // costcheck sees exactly the queries irlint verifies
+        let names: Vec<String> = report.queries.iter().map(|q| q.query.clone()).collect();
+        let irlint_names: Vec<String> = crate::irlint::lint_all()
+            .into_iter()
+            .map(|r| r.query)
+            .collect();
+        assert_eq!(names, irlint_names);
         for q in &report.queries {
             assert_eq!(q.errors, 0, "{} raised C-errors", q.query);
             for o in &q.ops {

@@ -1,4 +1,4 @@
-//! `gs-bench durability` — seeded crash/restart equivalence corpus for
+//! `gate durability` — seeded crash/restart equivalence corpus for
 //! the transactional GART store.
 //!
 //! The core assertion is **kill-anywhere equivalence**: a reference run
@@ -11,12 +11,13 @@
 //! workload pins a snapshot under a concurrent writer and asserts it
 //! never observes torn adjacency.
 //!
-//! Mirrors the `chaos` corpus one storage layer down; `--deny` turns any
-//! violation into a non-zero exit (the CI `durability` job's bar). Only
-//! meaningful when built with `--features chaos`; a pass-through build
-//! prints a note and exits 0 so the subcommand is safe to script.
+//! Mirrors the `chaos` corpus one storage layer down and reports through
+//! its [`Verdict`] table; every violation is a gate error. Only
+//! meaningful when built with `--features chaos`; without it the gate
+//! driver prints a note and exits 0.
 
-use crate::util::TablePrinter;
+use crate::chaos::{verdict_report, Verdict};
+use crate::gate::{GateArgs, GateReport};
 use gs_chaos::{ChaosStats, FaultPlan};
 use gs_gart::{DurabilityConfig, GartStore};
 use gs_graph::schema::GraphSchema;
@@ -26,14 +27,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// One durability workload: the faults that fired and the verdict.
-pub struct DurabilityResult {
-    pub workload: &'static str,
-    pub stats: ChaosStats,
-    /// `Ok` carries the equivalence summary; `Err` the violation.
-    pub outcome: Result<String, String>,
-}
 
 fn schema() -> (GraphSchema, LabelId, LabelId) {
     let mut s = GraphSchema::new();
@@ -142,28 +135,23 @@ fn reference(seed: u64, vl: LabelId, el: LabelId) -> (Vec<String>, Vec<u64>) {
 
 /// The tentpole sweep: one crashed run per WAL write coordinate, clean
 /// kills or torn writes depending on `torn`.
-fn sweep(seed: u64, torn: bool) -> DurabilityResult {
-    let workload_name = if torn {
-        "torn-write-sweep"
-    } else {
-        "kill-sweep"
-    };
+fn sweep(seed: u64, torn: bool) -> Verdict {
     let (_, vl, el) = schema();
     let (prefix_digests, seams) = reference(seed, vl, el);
     let total = *seams.last().unwrap();
-    let mut agg = ChaosStats::default();
+    let mut stats = ChaosStats::default();
     let mut failures = Vec::new();
     for kill_at in 0..total {
-        let dir = tmpdir(workload_name);
+        let dir = tmpdir(if torn { "torn" } else { "kill" });
         let mut plan = FaultPlan::new(seed ^ kill_at).wal_kill(kill_at);
         if torn {
             plan = plan.wal_torn_writes();
         }
-        let (outcome, stats) = gs_chaos::with_chaos(plan, || {
+        let (outcome, injected) = gs_chaos::with_chaos(plan, || {
             catch_unwind(AssertUnwindSafe(|| workload(&dir, seed, vl, el)))
         });
-        agg.wal_kills += stats.wal_kills;
-        agg.wal_torn_writes += stats.wal_torn_writes;
+        stats.wal_kills += injected.wal_kills;
+        stats.wal_torn_writes += injected.wal_torn_writes;
         match outcome {
             Err(e) if gs_chaos::is_chaos_unwind(e.as_ref()) => {}
             Err(_) => {
@@ -202,17 +190,13 @@ fn sweep(seed: u64, torn: bool) -> DurabilityResult {
             "all {total} kill points recovered the exact committed prefix"
         ))
     };
-    DurabilityResult {
-        workload: workload_name,
-        stats: agg,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// Conflicting writers then a crash: the winner's commit must survive
 /// the kill, the conflicted loser (and the killed trailing transaction)
 /// must leave no trace.
-fn conflict_abort_crash(seed: u64) -> DurabilityResult {
+fn conflict_abort_crash(seed: u64) -> Verdict {
     let (s, vl, el) = schema();
     // the run keeps writing after the winner commits so the crash run's
     // kill — scheduled at the winner's post-commit seam — lands mid-tail
@@ -264,17 +248,13 @@ fn conflict_abort_crash(seed: u64) -> DurabilityResult {
         }
     };
     let _ = std::fs::remove_dir_all(&crash_dir);
-    DurabilityResult {
-        workload: "conflict-abort-crash",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// A snapshot pinned before concurrent commits must never observe torn
 /// adjacency: its digest is re-scanned while a writer commits and
 /// deletes under it.
-fn pinned_snapshot_never_tears(seed: u64) -> DurabilityResult {
+fn pinned_snapshot_never_tears(seed: u64) -> Verdict {
     let (s, vl, el) = schema();
     let dir = tmpdir("pin");
     let ((), stats) = gs_chaos::with_chaos(FaultPlan::new(seed), || {});
@@ -322,56 +302,26 @@ fn pinned_snapshot_never_tears(seed: u64) -> DurabilityResult {
         ))
     };
     let _ = std::fs::remove_dir_all(&dir);
-    DurabilityResult {
-        workload: "pinned-snapshot-no-tear",
-        stats,
-        outcome,
-    }
+    Verdict { stats, outcome }
 }
 
 /// Runs the whole corpus; each entry installs its own exclusive plan.
-pub fn run_corpus(seed: u64) -> Vec<DurabilityResult> {
+pub fn run_corpus(seed: u64) -> Vec<(&'static str, Verdict)> {
     vec![
-        sweep(seed, false),
-        sweep(seed, true),
-        conflict_abort_crash(seed),
-        pinned_snapshot_never_tears(seed),
+        ("kill-sweep", sweep(seed, false)),
+        ("torn-write-sweep", sweep(seed, true)),
+        ("conflict-abort-crash", conflict_abort_crash(seed)),
+        ("pinned-snapshot-no-tear", pinned_snapshot_never_tears(seed)),
     ]
 }
 
-/// Runs the corpus and prints the verdict table. With `deny`, any failed
-/// verdict makes the exit code non-zero (the CI bar).
-pub fn run(deny: bool, seed: u64) -> i32 {
-    if !gs_chaos::COMPILED {
-        println!(
-            "durability: built without the `chaos` feature — kill points cannot \
-             fire (rebuild with `--features chaos`)"
-        );
-        return 0;
-    }
-    let results = run_corpus(seed);
-    let mut table = TablePrinter::new(&["workload", "injected", "verdict"]);
-    let mut failures = 0usize;
-    for r in &results {
-        let verdict = match &r.outcome {
-            Ok(summary) => format!("ok: {summary}"),
-            Err(why) => {
-                failures += 1;
-                format!("FAIL: {why}")
-            }
-        };
-        table.row(vec![r.workload.to_string(), r.stats.render(), verdict]);
-    }
-    table.print();
-    println!(
-        "durability: {} workloads checked (seed {seed}), {failures} equivalence failures",
-        results.len()
-    );
-    if deny && failures > 0 {
-        1
-    } else {
-        0
-    }
+/// The `durability` gate.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    Ok(verdict_report(
+        "durability",
+        args.seed,
+        &run_corpus(args.seed),
+    ))
 }
 
 #[cfg(test)]
@@ -380,14 +330,13 @@ mod tests {
     use super::*;
 
     /// The acceptance gate: kill-anywhere equivalence holds across the
-    /// whole corpus — the `gs-bench durability --deny` CI bar.
+    /// whole corpus — the `gate durability --deny` CI bar.
     #[test]
     fn corpus_holds_crash_equivalence() {
-        for r in run_corpus(42) {
+        for (workload, r) in run_corpus(42) {
             assert!(
                 r.outcome.is_ok(),
-                "{} broke crash equivalence ({}): {}",
-                r.workload,
+                "{workload} broke crash equivalence ({}): {}",
                 r.stats.render(),
                 r.outcome.unwrap_err()
             );

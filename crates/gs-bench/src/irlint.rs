@@ -1,24 +1,17 @@
-//! `gs-bench irlint` — run the GraphIR static verifier over every built-in
-//! benchmark/example query and print a diagnostic table.
+//! `gate irlint` — run the GraphIR static verifier over every query of
+//! the built-in corpus ([`crate::corpus`]) and print a diagnostic table.
 //!
-//! The corpus covers all three places queries come from in this repo: the
-//! 20 LDBC SNB BI plans (built directly with [`PlanBuilder`]), the §8
-//! application queries that go through the frontends (the fraud Cypher
-//! check, the cyber Gremlin sweep), and the quickstart example's
-//! Cypher/Gremlin pair. Each plan is verified at three stages: the logical
-//! plan, the naive physical lowering, and the RBO-optimized physical plan
-//! — so a regression in any rewrite rule shows up here as a new row.
-//!
-//! [`PlanBuilder`]: gs_ir::PlanBuilder
+//! Each plan is verified at three stages: the logical plan, the naive
+//! physical lowering, and the RBO-optimized physical plan — so a
+//! regression in any rewrite rule shows up here as a new row.
 
+use crate::gate::{GateArgs, GateReport};
 use crate::util::TablePrinter;
 use gs_graph::schema::GraphSchema;
-use gs_graph::Value;
-use gs_ir::physical::lower_naive;
+use gs_ir::physical::{lower_naive, PhysicalPlan};
 use gs_ir::verify::{Severity, VerifyReport};
 use gs_ir::{verify_logical, verify_physical, LogicalPlan};
 use gs_optimizer::Optimizer;
-use std::collections::HashMap;
 
 /// One verified query: its name and the per-stage reports.
 pub struct LintResult {
@@ -27,29 +20,21 @@ pub struct LintResult {
     pub stages: Vec<(&'static str, VerifyReport)>,
 }
 
-impl LintResult {
-    /// Errors across all stages.
-    pub fn error_count(&self) -> usize {
-        self.stages.iter().map(|(_, r)| r.error_count()).sum()
-    }
-
-    /// Warnings across all stages.
-    pub fn warning_count(&self) -> usize {
-        self.stages.iter().map(|(_, r)| r.warning_count()).sum()
-    }
-}
-
-/// Verifies one logical plan at all three stages.
-fn lint_plan(name: &str, plan: &LogicalPlan, schema: &GraphSchema) -> LintResult {
-    let mut stages = vec![("logical", verify_logical(plan, schema))];
-    match lower_naive(plan) {
-        Ok(phys) => stages.push(("physical", verify_physical(&phys, schema))),
-        Err(e) => stages.push(("physical", lowering_failure(e))),
-    }
-    match Optimizer::rbo_only().optimize(plan) {
-        Ok(opt) => stages.push(("optimized", verify_physical(&opt, schema))),
-        Err(e) => stages.push(("optimized", lowering_failure(e))),
-    }
+/// Verifies one corpus query at all three stages; a query that failed to
+/// build or parse is a single logical-stage error.
+fn lint_plan(name: &str, plan: &gs_graph::Result<LogicalPlan>, schema: &GraphSchema) -> LintResult {
+    let verify = |lowered: gs_graph::Result<PhysicalPlan>| match lowered {
+        Ok(phys) => verify_physical(&phys, schema),
+        Err(e) => lowering_failure(e),
+    };
+    let stages = match plan {
+        Ok(plan) => vec![
+            ("logical", verify_logical(plan, schema)),
+            ("physical", verify(lower_naive(plan))),
+            ("optimized", verify(Optimizer::rbo_only().optimize(plan))),
+        ],
+        Err(e) => vec![("logical", lowering_failure(e.clone()))],
+    };
     LintResult {
         query: name.to_string(),
         stages,
@@ -70,110 +55,21 @@ fn lowering_failure(e: gs_graph::GraphError) -> VerifyReport {
     }
 }
 
-/// Builds and verifies the whole built-in query corpus.
+/// Verifies the whole built-in query corpus ([`crate::corpus`]).
 pub fn lint_all() -> Vec<LintResult> {
     let mut out = Vec::new();
-
-    // ---- LDBC SNB BI 1..=20 ------------------------------------------
-    let snb = gs_datagen::snb::generate(&gs_datagen::snb::SnbConfig::lite(10));
-    let params = gs_flex::snb::BiParams::default();
-    for n in 1..=gs_flex::snb::BI_COUNT {
-        match gs_flex::snb::bi_plan(n, &snb.data.schema, &snb.labels, &params) {
-            Ok(plan) => out.push(lint_plan(&format!("BI{n}"), &plan, &snb.data.schema)),
-            Err(e) => out.push(LintResult {
-                query: format!("BI{n}"),
-                stages: vec![("logical", lowering_failure(e))],
-            }),
+    for (data, queries) in crate::corpus::corpus() {
+        for (name, plan) in &queries {
+            out.push(lint_plan(name, plan, &data.schema));
         }
     }
-
-    // ---- §8 fraud detection (Cypher frontend) ------------------------
-    let fraud = gs_datagen::apps::fraud_graph(20, 10, 40, 0, 7);
-    let fraud_q = "MATCH (v:Account {id: 0})-[b1:BUY]->(:Item)<-[b2:BUY]-(s:Account) \
-                   WHERE s.id IN $SEEDS AND b1.date - b2.date < 3 AND b2.date - b1.date < 3 \
-                   WITH v, COUNT(s) AS cnt1 \
-                   MATCH (v)-[:KNOWS]-(f:Account), (f)-[b3:BUY]->(:Item)<-[b4:BUY]-(s2:Account) \
-                   WHERE s2.id IN $SEEDS \
-                   WITH v, cnt1, COUNT(s2) AS cnt2 \
-                   WHERE 2 * cnt1 + 1 * cnt2 > 3 \
-                   RETURN v";
-    let mut fraud_params = HashMap::new();
-    fraud_params.insert(
-        "SEEDS".to_string(),
-        Value::List(vec![Value::Int(1), Value::Int(2)]),
-    );
-    lint_frontend(
-        &mut out,
-        "fraud-cypher",
-        gs_lang::parse_cypher(fraud_q, &fraud.data.schema, &fraud_params),
-        &fraud.data.schema,
-    );
-
-    // ---- §8 cyber monitoring (Gremlin frontend) ----------------------
-    let cyber = gs_datagen::apps::cyber_graph(4, 1, 1);
-    let cyber_q = "g.V().hasLabel('Host').out('RUNS').out('CONNECTS').dedup()";
-    lint_frontend(
-        &mut out,
-        "cyber-gremlin",
-        gs_lang::parse_gremlin(cyber_q, &cyber.data.schema),
-        &cyber.data.schema,
-    );
-
-    // ---- quickstart example (both frontends) -------------------------
-    let schema = quickstart_schema();
-    let cypher = "MATCH (a:Person {name: 'ann'})-[:KNOWS]-(f:Person)-[:BUY]->(i:Item) \
-                  RETURN f.name AS friend, i.price AS price ORDER BY price DESC LIMIT 10";
-    lint_frontend(
-        &mut out,
-        "quickstart-cypher",
-        gs_lang::parse_cypher(cypher, &schema, &HashMap::new()),
-        &schema,
-    );
-    let gremlin =
-        "g.V().hasLabel('Person').has('name', 'ann').out('KNOWS').out('BUY').values('price')";
-    lint_frontend(
-        &mut out,
-        "quickstart-gremlin",
-        gs_lang::parse_gremlin(gremlin, &schema),
-        &schema,
-    );
-
     out
 }
 
-fn lint_frontend(
-    out: &mut Vec<LintResult>,
-    name: &str,
-    parsed: gs_graph::Result<LogicalPlan>,
-    schema: &GraphSchema,
-) {
-    match parsed {
-        Ok(plan) => out.push(lint_plan(name, &plan, schema)),
-        Err(e) => out.push(LintResult {
-            query: name.to_string(),
-            stages: vec![("logical", lowering_failure(e))],
-        }),
-    }
-}
-
-/// The schema from `examples/quickstart.rs`, rebuilt here so the example's
-/// queries are linted without running the example.
-fn quickstart_schema() -> GraphSchema {
-    use gs_graph::value::ValueType;
-    let mut schema = GraphSchema::new();
-    let person = schema.add_vertex_label(
-        "Person",
-        &[("name", ValueType::Str), ("age", ValueType::Int)],
-    );
-    let item = schema.add_vertex_label("Item", &[("price", ValueType::Float)]);
-    schema.add_edge_label("KNOWS", person, person, &[]);
-    schema.add_edge_label("BUY", person, item, &[("date", ValueType::Date)]);
-    schema
-}
-
-/// Prints the diagnostic table and returns the process exit code: nonzero
-/// when any error was found, or (with `deny_warnings`) any diagnostic.
-pub fn run(deny_warnings: bool) -> i32 {
+/// The `irlint` gate: one table row per diagnostic, plus the `ir.verify.*`
+/// telemetry counters after the summary.
+pub fn gate(_: &GateArgs) -> Result<GateReport, String> {
+    gs_telemetry::install(gs_telemetry::Registry::new());
     let results = lint_all();
     let mut table = TablePrinter::new(&["query", "stage", "code", "severity", "op", "message"]);
     let (mut errors, mut warnings) = (0usize, 0usize);
@@ -181,11 +77,9 @@ pub fn run(deny_warnings: bool) -> i32 {
         for (stage, report) in &r.stages {
             // feed the ir.verify.* counters exactly as a submit would
             let _ = gs_ir::verify::enforce(report, gs_ir::VerifyLevel::Warn, stage);
+            errors += report.error_count();
+            warnings += report.warning_count();
             for d in &report.diagnostics {
-                match d.severity {
-                    Severity::Error => errors += 1,
-                    Severity::Warning => warnings += 1,
-                }
                 table.row(vec![
                     r.query.clone(),
                     stage.to_string(),
@@ -200,18 +94,17 @@ pub fn run(deny_warnings: bool) -> i32 {
             }
         }
     }
-    if errors + warnings > 0 {
-        table.print();
-    }
-    println!(
-        "irlint: {} queries verified, {errors} errors, {warnings} warnings",
-        results.len()
-    );
-    if errors > 0 || (deny_warnings && warnings > 0) {
-        1
-    } else {
-        0
-    }
+    Ok(GateReport {
+        table,
+        summary: format!(
+            "irlint: {} queries verified, {errors} errors, {warnings} warnings\n{}",
+            results.len(),
+            gs_telemetry::global().text_report()
+        ),
+        errors,
+        warnings,
+        json: None,
+    })
 }
 
 #[cfg(test)]
@@ -219,11 +112,17 @@ mod tests {
     use super::*;
 
     /// The acceptance gate: every built-in query passes verification with
-    /// zero errors, and with zero warnings (the CI `--deny-warnings` bar).
+    /// zero errors, and with zero warnings (the CI `--deny` bar).
     #[test]
     fn builtin_corpus_is_clean() {
         let results = lint_all();
         assert!(results.len() >= 24, "corpus size: {}", results.len());
+        let corpus_names: Vec<String> = crate::corpus::corpus()
+            .into_iter()
+            .flat_map(|(_, queries)| queries.into_iter().map(|(name, _)| name))
+            .collect();
+        let names: Vec<&String> = results.iter().map(|r| &r.query).collect();
+        assert_eq!(names, corpus_names.iter().collect::<Vec<_>>());
         for r in &results {
             assert_eq!(r.stages.len(), 3, "{} missing stages", r.query);
             for (stage, report) in &r.stages {

@@ -1,4 +1,4 @@
-//! `gs-bench lint` — run the gs-lint workspace invariant linter and
+//! `gate lint` — run the gs-lint workspace invariant linter and
 //! print an irlint-style diagnostic table.
 //!
 //! The linter re-checks the stack's cross-cutting source contracts
@@ -7,23 +7,9 @@
 //! clocks) against the workspace's own sources and manifests. See
 //! DESIGN.md §6g for the codes and the suppression story.
 
+use crate::gate::{GateArgs, GateReport};
 use crate::util::TablePrinter;
 use gs_lint::{describe, format_registry, Level, LintConfig, ALL_CODES, REGISTRY_DUMP_FILE};
-use std::path::PathBuf;
-
-/// Walks up from the current directory to the workspace root (the
-/// directory holding both `Cargo.toml` and `crates/`).
-pub fn find_workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
 
 fn level_str(level: Level) -> &'static str {
     match level {
@@ -33,40 +19,32 @@ fn level_str(level: Level) -> &'static str {
     }
 }
 
-/// Runs the workspace lint. `deny` promotes warnings to failures (the CI
-/// bar); `write_registry` regenerates the machine-readable telemetry-name
-/// dump from DESIGN.md before linting. Returns the process exit code.
-pub fn run(deny: bool, write_registry: bool) -> i32 {
-    let Some(root) = find_workspace_root() else {
-        eprintln!("lint: could not locate the workspace root");
-        return 2;
-    };
+/// The `lint` gate. Deny-level findings and suppression-hygiene problems
+/// are errors, warn-level findings are warnings; `--write-registry`
+/// regenerates the machine-readable telemetry-name dump from DESIGN.md
+/// before linting.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    // the workspace root is the nearest ancestor holding both `Cargo.toml`
+    // and `crates/`
+    let mut root = std::env::current_dir().map_err(|e| e.to_string())?;
+    while !(root.join("Cargo.toml").is_file() && root.join("crates").is_dir()) {
+        if !root.pop() {
+            return Err("could not locate the workspace root".into());
+        }
+    }
     let cfg = LintConfig::default();
 
-    if write_registry {
-        let design = match std::fs::read_to_string(root.join("DESIGN.md")) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("lint: cannot read DESIGN.md: {e}");
-                return 2;
-            }
-        };
+    if args.write_registry {
+        let design = std::fs::read_to_string(root.join("DESIGN.md"))
+            .map_err(|e| format!("cannot read DESIGN.md: {e}"))?;
         let registry = gs_lint::TelemetryRegistry::from_design_md(&design);
-        let dump = format_registry(&registry);
-        if let Err(e) = std::fs::write(root.join(REGISTRY_DUMP_FILE), dump) {
-            eprintln!("lint: cannot write {REGISTRY_DUMP_FILE}: {e}");
-            return 2;
-        }
+        std::fs::write(root.join(REGISTRY_DUMP_FILE), format_registry(&registry))
+            .map_err(|e| format!("cannot write {REGISTRY_DUMP_FILE}: {e}"))?;
         println!("wrote {} names to {REGISTRY_DUMP_FILE}", registry.len());
     }
 
-    let report = match gs_lint::lint_workspace(&root, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: workspace walk failed: {e}");
-            return 2;
-        }
-    };
+    let report =
+        gs_lint::lint_workspace(&root, &cfg).map_err(|e| format!("workspace walk failed: {e}"))?;
 
     let mut table = TablePrinter::new(&["code", "level", "location", "message"]);
     for (f, level) in &report.findings {
@@ -104,42 +82,32 @@ pub fn run(deny: bool, write_registry: bool) -> i32 {
             ),
         ]);
     }
-    table.print();
-
-    println!(
+    let suppressed = &report.suppressed;
+    let suppressed_by = |m: &str| suppressed.iter().filter(|s| s.mechanism == m).count();
+    let mut summary = format!(
         "\n{} files scanned, {} registry names; {} deny, {} warn, {} suppressed \
          ({} inline, {} baseline), {} hygiene error(s)",
         report.files_scanned,
         report.registry_size,
         report.deny_count(),
         report.warn_count(),
-        report.suppressed.len(),
-        report
-            .suppressed
-            .iter()
-            .filter(|s| s.mechanism == "inline")
-            .count(),
-        report
-            .suppressed
-            .iter()
-            .filter(|s| s.mechanism == "baseline")
-            .count(),
+        suppressed.len(),
+        suppressed_by("inline"),
+        suppressed_by("baseline"),
         report.hygiene_errors(),
     );
     for code in ALL_CODES {
-        println!(
-            "  {code} [{}] {}",
+        summary.push_str(&format!(
+            "\n  {code} [{}] {}",
             level_str(cfg.level(code)),
             describe(code)
-        );
+        ));
     }
-
-    let errors = report.error_count(deny);
-    if errors > 0 {
-        eprintln!("\nlint: {errors} blocking finding(s)");
-        1
-    } else {
-        println!("\nlint: clean");
-        0
-    }
+    Ok(GateReport {
+        table,
+        summary,
+        errors: report.deny_count() + report.hygiene_errors(),
+        warnings: report.warn_count(),
+        json: None,
+    })
 }

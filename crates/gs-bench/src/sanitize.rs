@@ -1,4 +1,4 @@
-//! `gs-bench sanitize` — run a workload corpus under the concurrency
+//! `gate sanitize` — run a workload corpus under the concurrency
 //! sanitizer and print a diagnostic table, mirroring `irlint` one layer
 //! down: the same stack paths the benchmarks exercise (GRAPE BSP
 //! supersteps, a HiActor procedure storm, the pipelined sampler) run with
@@ -6,37 +6,18 @@
 //! any `S`-code finding is a defect in the simulated cluster's
 //! synchronization.
 //!
-//! Only meaningful when built with `--features sanitize`; a pass-through
-//! build prints a note and exits 0 so the subcommand is safe to script.
+//! Only meaningful when built with `--features sanitize`; without it the
+//! gate driver prints a note and exits 0.
 
-use crate::util::TablePrinter;
+use crate::gate::{GateArgs, GateReport};
+use crate::util::{random_edges, TablePrinter};
 use gs_graph::VId;
 use gs_grin::graph::mock::MockGraph;
 use gs_grin::GrinGraph;
 use gs_ir::Value;
-use gs_sanitizer::{Report, Severity};
-use rand::Rng;
+use gs_sanitizer::Report;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One sanitized workload: its name and the sanitizer's findings.
-pub struct SanitizeResult {
-    pub workload: &'static str,
-    pub report: Report,
-}
-
-/// A seeded random digraph for the BSP workloads.
-fn random_edges(seed: u64, n: usize, degree: usize) -> Vec<(VId, VId)> {
-    let mut rng = rand_pcg::Pcg64Mcg::new(seed as u128);
-    (0..n * degree)
-        .map(|_| {
-            (
-                VId(rng.gen_range(0..n as u64)),
-                VId(rng.gen_range(0..n as u64)),
-            )
-        })
-        .collect()
-}
 
 /// BSP PageRank over 4 fragments: the double-buffered aggregator, tracked
 /// barriers, and the all-to-all exchange channels all under load.
@@ -149,48 +130,26 @@ fn learn_pipeline(seed: u64) -> Report {
 
 /// Runs the whole corpus, one exclusive sanitized run per workload so
 /// findings attribute cleanly.
-pub fn run_corpus(seed: u64) -> Vec<SanitizeResult> {
+pub fn run_corpus(seed: u64) -> Vec<(&'static str, Report)> {
     vec![
-        SanitizeResult {
-            workload: "bsp-pagerank",
-            report: bsp_pagerank(seed),
-        },
-        SanitizeResult {
-            workload: "bsp-wcc",
-            report: bsp_wcc(seed),
-        },
-        SanitizeResult {
-            workload: "hiactor-storm",
-            report: hiactor_storm(seed),
-        },
-        SanitizeResult {
-            workload: "learn-pipeline",
-            report: learn_pipeline(seed),
-        },
+        ("bsp-pagerank", bsp_pagerank(seed)),
+        ("bsp-wcc", bsp_wcc(seed)),
+        ("hiactor-storm", hiactor_storm(seed)),
+        ("learn-pipeline", learn_pipeline(seed)),
     ]
 }
 
-/// Runs the corpus and prints the diagnostic table. With `deny`, any
-/// `S`-code finding makes the exit code non-zero (the CI bar).
-pub fn run(deny: bool, seed: u64) -> i32 {
-    if !gs_sanitizer::COMPILED {
-        println!(
-            "sanitize: built without the `sanitize` feature — nothing to check \
-             (rebuild with `--features sanitize`)"
-        );
-        return 0;
-    }
-    let results = run_corpus(seed);
+/// The `sanitize` gate: one table row per `S`-code finding.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    let results = run_corpus(args.seed);
     let mut table = TablePrinter::new(&["workload", "code", "severity", "sites", "message"]);
     let (mut errors, mut warnings) = (0usize, 0usize);
-    for r in &results {
-        for d in &r.report.diagnostics {
-            match d.severity {
-                Severity::Error => errors += 1,
-                Severity::Warning => warnings += 1,
-            }
+    for (workload, report) in &results {
+        errors += report.error_count();
+        warnings += report.warning_count();
+        for d in &report.diagnostics {
             table.row(vec![
-                r.workload.to_string(),
+                workload.to_string(),
                 d.code.to_string(),
                 d.severity.to_string(),
                 d.sites.join(", "),
@@ -198,18 +157,17 @@ pub fn run(deny: bool, seed: u64) -> i32 {
             ]);
         }
     }
-    if errors + warnings > 0 {
-        table.print();
-    }
-    println!(
-        "sanitize: {} workloads checked (seed {seed}), {errors} errors, {warnings} warnings",
-        results.len()
-    );
-    if deny && errors > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(GateReport {
+        table,
+        summary: format!(
+            "sanitize: {} workloads checked (seed {}), {errors} errors, {warnings} warnings",
+            results.len(),
+            args.seed
+        ),
+        errors,
+        warnings,
+        json: None,
+    })
 }
 
 #[cfg(test)]
@@ -218,15 +176,14 @@ mod tests {
     use super::*;
 
     /// The acceptance gate: the whole corpus runs clean under the
-    /// sanitizer — the `gs-bench sanitize --deny` CI bar.
+    /// sanitizer — the `gate sanitize --deny` CI bar.
     #[test]
     fn corpus_is_clean() {
-        for r in run_corpus(42) {
+        for (workload, report) in run_corpus(42) {
             assert!(
-                r.report.is_clean(),
-                "{} found defects:\n{}",
-                r.workload,
-                r.report.render()
+                report.is_clean(),
+                "{workload} found defects:\n{}",
+                report.render()
             );
         }
     }

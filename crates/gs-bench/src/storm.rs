@@ -1,4 +1,4 @@
-//! `gs-bench storm` — open-loop load generation against the gs-serve
+//! `gate storm` — open-loop load generation against the gs-serve
 //! front end.
 //!
 //! The harness models the §8 fraud deployment under concurrent traffic: a
@@ -23,6 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::gate::{GateArgs, GateReport};
+use crate::util::TablePrinter;
 use gs_datagen::apps::{fraud_graph, FraudWorkload};
 use gs_gart::GartStore;
 use gs_graph::json::Json;
@@ -583,20 +585,16 @@ impl StormReport {
     }
 }
 
-/// CLI entry: runs the storm, writes `BENCH_storm.json`, prints a
-/// summary. With `deny`, a non-zero baseline error count fails the run —
-/// the storm-smoke CI bar.
-pub fn run_cli(deny: bool, seed: u64, duration_supersteps: u64, out_path: &str) -> i32 {
-    let cfg = StormConfig {
-        seed,
-        duration_supersteps,
+/// The `storm` gate: one row per phase. Any shed or error in the
+/// baseline (unloaded) phase is a warning — the storm-smoke CI bar runs
+/// with `--deny`.
+pub fn gate(args: &GateArgs) -> Result<GateReport, String> {
+    let report = run(&StormConfig {
+        seed: args.seed,
+        duration_supersteps: args.duration_supersteps,
         ..Default::default()
-    };
-    let report = run(&cfg);
-    let json = report.to_json().render();
-    std::fs::write(out_path, &json).expect("write BENCH_storm.json");
-
-    let mut table = crate::util::TablePrinter::new(&[
+    });
+    let mut table = TablePrinter::new(&[
         "phase", "offered", "done", "shed", "errors", "qps", "p50 µs", "p99 µs", "p999 µs",
     ]);
     for p in &report.phases {
@@ -612,25 +610,28 @@ pub fn run_cli(deny: bool, seed: u64, duration_supersteps: u64, out_path: &str) 
             format!("{:.0}", p.p999_us),
         ]);
     }
-    table.print();
-    println!(
+    let mut summary = format!(
         "prepared vs parse-per-request: {:.0} µs vs {:.0} µs ({:.2}x) over {} iterations",
         report.prepared_us,
         report.parse_per_request_us,
         report.prepared_speedup,
         report.prepared_iterations
     );
-    println!("wrote {out_path}");
-
     let baseline = &report.phases[0];
-    if deny && (baseline.errors > 0 || baseline.shed > 0) {
-        eprintln!(
-            "storm --deny: baseline phase had {} errors, {} shed (expected 0)",
+    let warnings = baseline.errors + baseline.shed;
+    if warnings > 0 {
+        summary.push_str(&format!(
+            "\nwarning: baseline phase had {} errors, {} shed (expected 0)",
             baseline.errors, baseline.shed
-        );
-        return 1;
+        ));
     }
-    0
+    Ok(GateReport {
+        table,
+        summary,
+        errors: 0,
+        warnings: warnings as usize,
+        json: Some(report.to_json()),
+    })
 }
 
 #[cfg(test)]

@@ -1,5 +1,8 @@
-//! Timing and table-formatting helpers shared by all experiments.
+//! Timing, table-formatting and input helpers shared by the experiments
+//! and gates.
 
+use gs_graph::VId;
+use rand::Rng;
 use std::time::{Duration, Instant};
 
 /// Times a closure: one warm-up run, then the median of `runs` timed runs.
@@ -37,6 +40,10 @@ impl TablePrinter {
         self.rows.push(cells);
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
     /// Renders to stdout.
     pub fn print(&self) {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -68,6 +75,19 @@ impl TablePrinter {
         }
         println!("{sep}");
     }
+}
+
+/// A seeded random digraph: `n * degree` edges with uniform endpoints.
+pub fn random_edges(seed: u64, n: usize, degree: usize) -> Vec<(VId, VId)> {
+    let mut rng = rand_pcg::Pcg64Mcg::new(seed as u128);
+    (0..n * degree)
+        .map(|_| {
+            (
+                VId(rng.gen_range(0..n as u64)),
+                VId(rng.gen_range(0..n as u64)),
+            )
+        })
+        .collect()
 }
 
 /// Formats a duration in adaptive units.

@@ -17,7 +17,7 @@
 //! an inline `// gs-lint: allow(Lxxx reason)` with a mandatory written
 //! justification, or by the committed `lint-baseline.txt`. Stale baseline
 //! entries are themselves errors, so suppression can only shrink honestly.
-//! The `gs-bench lint` subcommand renders the report and gates CI.
+//! The `gate lint` command in gs-bench renders the report and gates CI.
 
 pub mod diag;
 pub mod lexer;
@@ -226,7 +226,7 @@ pub fn lint_source(
 pub fn format_registry(registry: &TelemetryRegistry) -> String {
     let mut out = String::from(
         "# telemetry name registry — generated from DESIGN.md's telemetry tables\n\
-         # regenerate with: cargo run -p gs-bench --bin lint -- --write-registry\n",
+         # regenerate with: cargo run -p gs-bench --bin gate -- lint --write-registry\n",
     );
     for e in registry.names() {
         out.push_str(&e.base);
@@ -329,7 +329,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
                     file: REGISTRY_DUMP_FILE.into(),
                     line: 1,
                     message: "registry dump is out of date with DESIGN.md — regenerate with \
-                              `cargo run -p gs-bench --bin lint -- --write-registry`"
+                              `cargo run -p gs-bench --bin gate -- lint --write-registry`"
                         .into(),
                     snippet: String::new(),
                 });
