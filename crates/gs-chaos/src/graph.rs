@@ -5,8 +5,8 @@
 //! poisoned mmap or torn snapshot read manifests in-process: a panic at
 //! the read site, carrying the [`ChaosUnwind`](crate::ChaosUnwind)
 //! payload. Callers that promise degradation (the learn sampler's
-//! retry/skip path, HiActor's catch-per-job shard loop) catch it; callers
-//! without a recovery story crash loudly, which is the point.
+//! retry/skip path, gs-serve's plan execution) catch it; callers without
+//! a recovery story crash loudly, which is the point.
 
 use gs_graph::{EId, GraphSchema, LabelId, PropId, VId, Value};
 use gs_grin::graph::{AdjEntry, AdjScanFn, PartitionInfo};

@@ -604,7 +604,7 @@ pub enum EngineChoice {
     Auto,
     /// Require Gaia's data-parallel dataflow engine.
     Gaia,
-    /// Require HiActor's shard-actor OLTP engine.
+    /// Require HiActor's OLTP engine.
     HiActor,
     /// Require the single-threaded reference executor.
     Reference,

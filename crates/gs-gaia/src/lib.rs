@@ -62,6 +62,11 @@ impl GaiaEngine {
     pub fn execute(&self, plan: &PhysicalPlan, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
         graph.capabilities().require(REQUIRED_CAPABILITIES)?;
         gs_ir::verify::verify_on_submit(plan, graph.schema(), self.verify, "gaia")?;
+        self.run(plan, graph)
+    }
+
+    /// The dataflow itself, after the submit-time checks.
+    fn run(&self, plan: &PhysicalPlan, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
         let _query_span = span!("gaia.query", workers = self.workers);
         // Split the plan into pipeline segments at stateful barriers.
         let mut segments: Vec<(Vec<PhysicalOp>, Option<PhysicalOp>)> = Vec::new();
@@ -313,36 +318,17 @@ impl gs_ir::QueryEngine for GaiaEngine {
         "gaia"
     }
 
-    /// Prepared Gaia handle: verification runs once (on the first
-    /// execute, when a schema is in scope); every call after that goes
-    /// straight into the dataflow pipeline.
+    /// Prepared Gaia handle: the shared verify-once handle over the
+    /// dataflow runner.
     fn prepare(&self, plan: &PhysicalPlan) -> Result<Box<dyn gs_ir::PreparedQuery>> {
-        struct GaiaPrepared {
-            // verification is handled by `once`, so the inner engine runs
-            // with submit-time checks disabled
-            engine: GaiaEngine,
-            plan: PhysicalPlan,
-            once: gs_ir::VerifyOnce,
-        }
-        impl gs_ir::PreparedQuery for GaiaPrepared {
-            fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
-                self.once.check(&self.plan, graph.schema(), "gaia")?;
-                GaiaEngine::execute(&self.engine, &self.plan, graph)
-            }
-
-            fn plan(&self) -> &PhysicalPlan {
-                &self.plan
-            }
-
-            fn engine_name(&self) -> &'static str {
-                "gaia"
-            }
-        }
-        Ok(Box::new(GaiaPrepared {
-            engine: self.clone().with_verify(gs_ir::VerifyLevel::Off),
-            plan: plan.clone(),
-            once: gs_ir::VerifyOnce::new(self.verify),
-        }))
+        let engine = self.clone();
+        Ok(Box::new(gs_ir::Prepared::new(
+            "gaia",
+            plan,
+            self.verify,
+            REQUIRED_CAPABILITIES,
+            move |plan: &PhysicalPlan, graph: &dyn GrinGraph| engine.run(plan, graph),
+        )))
     }
 }
 

@@ -3,8 +3,10 @@
 //! recovered state must equal the committed prefix exactly.
 //!
 //! Lives in its own test binary (own process) because the chaos plan is
-//! process-global: the `with_chaos` gate serialises these tests against
-//! each other, and no other gs-gart test shares the process.
+//! process-global: every fault-hooked step — workloads, replays and
+//! recovery opens alike — runs inside `with_chaos`, whose gate serialises
+//! these tests against each other, and no other gs-gart test shares the
+//! process.
 #![cfg(feature = "chaos")]
 
 use gs_chaos::{is_chaos_unwind, with_chaos, FaultPlan};
@@ -95,10 +97,18 @@ fn reference(vl: LabelId, el: LabelId) -> (Vec<String>, Vec<u64>) {
     // an empty plan still takes the exclusive chaos gate, so reference
     // runs cannot race another test's installed plan
     let (seams, _) = with_chaos(FaultPlan::new(1), || workload(&dir, vl, el));
-    // replay the run version-by-version to capture each prefix digest
+    // replay the run version-by-version to capture each prefix digest;
+    // the replaying open writes a checkpoint, so it takes the gate too
+    let (digests, _) = with_chaos(FaultPlan::new(1), || prefix_digests(&dir, vl, el));
+    let _ = std::fs::remove_dir_all(&dir);
+    (digests, seams)
+}
+
+/// Digests of the run at `dir` after 0, 1, 2, 3 commits.
+fn prefix_digests(dir: &Path, vl: LabelId, el: LabelId) -> Vec<String> {
     let (s, _, _) = schema();
-    let store = GartStore::open(s, DurabilityConfig::new(&dir)).unwrap();
-    let digests = (0..=3)
+    let store = GartStore::open(s, DurabilityConfig::new(dir)).unwrap();
+    (0..=3)
         .map(|commits| {
             // prefix digests come from pinned snapshots of the full run
             let snap = store.snapshot_at(commits);
@@ -122,9 +132,7 @@ fn reference(vl: LabelId, el: LabelId) -> (Vec<String>, Vec<u64>) {
             }
             out
         })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    (digests, seams)
+        .collect()
 }
 
 fn kill_sweep(torn: bool) {
@@ -148,23 +156,26 @@ fn kill_sweep(torn: bool) {
         } else {
             assert_eq!(stats.wal_kills, 1);
         }
-        // recovery runs with no plan installed — crashes never cascade
-        let (s, _, _) = schema();
-        let store = GartStore::open(s, DurabilityConfig::new(&dir)).unwrap();
-        // the kill fired *before* write `kill_at`, so exactly the commits
-        // whose final write landed strictly earlier are durable
-        let commits = seams[1..].iter().filter(|&&s| s <= kill_at).count();
-        assert_eq!(
-            digest(&store, vl, el),
-            prefix_digests[commits],
-            "kill at write {kill_at} (torn={torn}) must recover exactly \
-             the {commits}-commit prefix"
-        );
-        assert_eq!(store.committed_version(), commits as u64);
-        // the recovered store accepts new work
-        store.add_vertex(vl, 100, vec![Value::Int(100)]).unwrap();
-        store.commit();
-        assert!(store.snapshot().internal_id(vl, 100).is_some());
+        // recovery runs under an empty plan — crashes never cascade — and
+        // inside the gate, so its writes cannot trip another test's plan
+        with_chaos(FaultPlan::new(0), || {
+            let (s, _, _) = schema();
+            let store = GartStore::open(s, DurabilityConfig::new(&dir)).unwrap();
+            // the kill fired *before* write `kill_at`, so exactly the
+            // commits whose final write landed strictly earlier are durable
+            let commits = seams[1..].iter().filter(|&&s| s <= kill_at).count();
+            assert_eq!(
+                digest(&store, vl, el),
+                prefix_digests[commits],
+                "kill at write {kill_at} (torn={torn}) must recover exactly \
+                 the {commits}-commit prefix"
+            );
+            assert_eq!(store.committed_version(), commits as u64);
+            // the recovered store accepts new work
+            store.add_vertex(vl, 100, vec![Value::Int(100)]).unwrap();
+            store.commit();
+            assert!(store.snapshot().internal_id(vl, 100).is_some());
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -213,11 +224,14 @@ fn kill_during_checkpoint_falls_back_to_image_or_log() {
             Ok(Err(e)) => panic!("open must not error under a kill plan: {e:?}"),
             Err(e) => assert!(is_chaos_unwind(e.as_ref())),
         }
-        // whatever the checkpoint got to, a clean reopen recovers
-        let store = GartStore::open(s.clone(), DurabilityConfig::new(&dir)).unwrap();
+        // whatever the checkpoint got to, a clean reopen (under an empty
+        // plan, inside the gate) recovers
+        let (recovered, _) = with_chaos(FaultPlan::new(3), || {
+            let store = GartStore::open(s.clone(), DurabilityConfig::new(&dir)).unwrap();
+            digest(&store, vl, el)
+        });
         assert_eq!(
-            digest(&store, vl, el),
-            expect,
+            recovered, expect,
             "state after checkpoint crash at write {kill_at}"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -427,46 +427,6 @@ mod tests {
         }
     }
 
-    /// Chaos: scheduled worker kills at different supersteps; the run
-    /// restarts from checkpoints and converges to the fault-free result.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn wcc_survives_worker_kills_byte_identically() {
-        let edges = ring_edges(40);
-        let plain = wcc(&GrapeEngine::from_edges(40, &edges, 3));
-        let plan = gs_chaos::FaultPlan::new(77)
-            .kill_worker(1, 3)
-            .kill_worker(2, 7);
-        let (survived, stats) = gs_chaos::with_chaos(plan, || {
-            wcc(&GrapeEngine::from_edges(40, &edges, 3)
-                .with_recovery(RecoveryConfig::default().interval(2)))
-        });
-        assert_eq!(stats.worker_kills, 2, "both scheduled kills fired");
-        assert_eq!(plain, survived, "WCC under kills must be byte-identical");
-    }
-
-    /// Chaos: message drop/duplication/delay on the exchange; duplicates
-    /// and delays are absorbed in-round, drops abort the attempt and the
-    /// restart converges to the exact fault-free answer.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn pregel_survives_message_faults() {
-        let edges = ring_edges(32);
-        let plain = wcc(&GrapeEngine::from_edges(32, &edges, 4));
-        let plan = gs_chaos::FaultPlan::new(1234)
-            .message_faults(0.05, 0.05, 0.05)
-            .budget(12);
-        let (survived, stats) = gs_chaos::with_chaos(plan, || {
-            wcc(&GrapeEngine::from_edges(32, &edges, 4).with_recovery(
-                RecoveryConfig::default()
-                    .interval(2)
-                    .detect_timeout(Duration::from_millis(150)),
-            ))
-        });
-        assert!(stats.total() > 0, "plan must actually inject");
-        assert_eq!(plain, survived);
-    }
-
     /// Plain runs are untouched by the recoverable machinery: run_pregel
     /// without `with_recovery` takes the direct path (and still computes
     /// the same answer as an armed engine, tested above).

@@ -2,15 +2,19 @@
 //!
 //! HiActor (paper §5, after Alibaba's hiactor framework) targets the OLTP
 //! side of graph querying: many small concurrent queries, each cheap, where
-//! throughput and tail latency matter more than per-query parallelism. The
-//! runtime is a set of *shard* actors — one OS thread each, processing its
-//! mailbox sequentially — plus a stored-procedure registry, mirroring how
-//! production deployments run parameterized queries at high QPS (§8
-//! real-time fraud detection runs exactly this stack over GART).
+//! throughput and tail latency matter more than per-query parallelism.
 //!
-//! A query occupies exactly one shard (no cross-worker exchange), which is
-//! the design contrast with Gaia: minimal coordination overhead per query,
-//! no data parallelism within one.
+//! Plans — ad-hoc and prepared — run to completion on the calling thread,
+//! after the capability check and submit-time verify: a point query costs
+//! less than a thread hop, and the serving layer's admission already bounds
+//! concurrency. That is the design contrast with Gaia: no coordination and
+//! no data parallelism within one query.
+//!
+//! Stored procedures run on a set of *shard* actors — one OS thread each,
+//! processing its mailbox sequentially — behind a procedure registry with
+//! deadlines, retries, circuit breakers and load shedding, mirroring how
+//! production deployments run parameterized procedures at high QPS (§8
+//! real-time fraud detection runs exactly this stack over GART).
 
 use gs_chaos::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use gs_grin::GrinGraph;
@@ -272,7 +276,7 @@ impl Default for ServiceConfig {
 /// The OLTP query service: a HiActor runtime plus a stored-procedure
 /// registry. Procedures capture their own graph access (e.g. a GART store
 /// they snapshot per call), exactly like registered procedures in a graph
-/// database.
+/// database. As a [`gs_ir::QueryEngine`] it runs plans on the caller.
 pub struct QueryService {
     runtime: Arc<HiActorRuntime>,
     procedures: SharedCell<HashMap<String, ProcEntry>>,
@@ -293,7 +297,8 @@ impl QueryService {
         }
     }
 
-    /// Sets the submit-time plan verification level for ad-hoc plans.
+    /// Sets the submit-time plan verification level for ad-hoc and
+    /// prepared plans.
     pub fn with_verify(mut self, verify: gs_ir::VerifyLevel) -> Self {
         self.verify = verify;
         self
@@ -491,95 +496,27 @@ impl QueryService {
     }
 }
 
-/// Runs one plan as a one-shot job on a shard actor, blocking until the
-/// shard replies. Shared by the ad-hoc [`gs_ir::QueryEngine::execute`]
-/// path and prepared-statement handles.
-fn run_plan_on_shard(
-    runtime: &HiActorRuntime,
-    plan: &PhysicalPlan,
-    graph: &dyn GrinGraph,
-    metric_name: &'static str,
-) -> Result<Vec<Record>> {
-    // `submit` needs a 'static closure but `graph` is a borrow. Erase
-    // the lifetime behind a Send-able raw pointer: sound because we
-    // block on `recv()` below, so `graph` outlives every use — the
-    // channel only resolves once the job (and its last use of the
-    // pointer) is finished or dropped.
-    struct SendPtr(*const (dyn GrinGraph + 'static));
-    unsafe impl Send for SendPtr {}
-    impl SendPtr {
-        // method (not field) access, so the closure captures the whole
-        // Send wrapper rather than the raw pointer field
-        fn graph(&self) -> &dyn GrinGraph {
-            unsafe { &*self.0 }
-        }
-    }
-    let ptr = SendPtr(unsafe {
-        std::mem::transmute::<*const (dyn GrinGraph + '_), *const (dyn GrinGraph + 'static)>(
-            graph as *const _,
-        )
-    });
-    let plan = plan.clone();
-    let rx = runtime.submit(None, move || {
-        let start = gs_telemetry::enabled().then(Instant::now);
-        let r = execute(&plan, ptr.graph());
-        if let Some(t) = start {
-            observe!("hiactor.proc_ns", name = metric_name; t.elapsed().as_nanos() as u64);
-        }
-        r
-    });
-    rx.recv().map_err(|_| {
-        GraphError::Query(
-            "hiactor shard worker terminated before replying \
-             (query panicked or shard shut down)"
-                .into(),
-        )
-    })?
-}
-
 impl gs_ir::QueryEngine for QueryService {
-    /// Runs the plan as a one-shot job on one shard actor (a query
-    /// occupies exactly one shard — HiActor's OLTP contract), blocking
-    /// until the shard replies.
+    /// Runs the plan to completion on the calling thread; the shards are
+    /// for stored procedures.
     fn execute(&self, plan: &PhysicalPlan, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
         graph.capabilities().require(REQUIRED_CAPABILITIES)?;
         gs_ir::verify::verify_on_submit(plan, graph.schema(), self.verify, "hiactor")?;
-        run_plan_on_shard(&self.runtime, plan, graph, "adhoc")
+        execute(plan, graph)
     }
 
     fn name(&self) -> &'static str {
         "hiactor"
     }
 
-    /// Prepared HiActor handle: the shard runtime is shared (`Arc`), the
-    /// plan is bound once, and verification runs on the first execute
-    /// only — the high-QPS prepared-procedure path of the §8 deployments.
     fn prepare(&self, plan: &PhysicalPlan) -> Result<Box<dyn gs_ir::PreparedQuery>> {
-        struct HiActorPrepared {
-            runtime: Arc<HiActorRuntime>,
-            plan: PhysicalPlan,
-            once: gs_ir::VerifyOnce,
-        }
-        impl gs_ir::PreparedQuery for HiActorPrepared {
-            fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
-                graph.capabilities().require(REQUIRED_CAPABILITIES)?;
-                self.once.check(&self.plan, graph.schema(), "hiactor")?;
-                run_plan_on_shard(&self.runtime, &self.plan, graph, "prepared")
-            }
-
-            fn plan(&self) -> &PhysicalPlan {
-                &self.plan
-            }
-
-            fn engine_name(&self) -> &'static str {
-                "hiactor"
-            }
-        }
-        Ok(Box::new(HiActorPrepared {
-            runtime: Arc::clone(&self.runtime),
-            plan: plan.clone(),
-            once: gs_ir::VerifyOnce::new(self.verify),
-        }))
+        Ok(Box::new(gs_ir::Prepared::new(
+            "hiactor",
+            plan,
+            self.verify,
+            REQUIRED_CAPABILITIES,
+            execute,
+        )))
     }
 }
 
@@ -589,6 +526,10 @@ mod tests {
     use gs_grin::graph::mock::MockGraph;
     use gs_ir::physical::lower_naive;
     use gs_ir::PlanBuilder;
+
+    // Every test below starts shards, so each holds `gs_chaos::exclusive()`:
+    // the fault plan is process-global, and `chaos_on` installs slow and
+    // dead shards under the same gate.
 
     fn graph() -> Arc<MockGraph> {
         Arc::new(MockGraph::new(
@@ -601,6 +542,7 @@ mod tests {
 
     #[test]
     fn runtime_executes_jobs_on_all_shards() {
+        let _gate = gs_chaos::exclusive();
         let rt = HiActorRuntime::new(4);
         let results: Vec<_> = (0..16)
             .map(|i| rt.submit(Some(i % 4), move || i * 2))
@@ -611,6 +553,7 @@ mod tests {
 
     #[test]
     fn shard_mailboxes_are_sequential() {
+        let _gate = gs_chaos::exclusive();
         // jobs on ONE shard must run in submission order
         let rt = HiActorRuntime::new(2);
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -627,6 +570,7 @@ mod tests {
 
     #[test]
     fn queue_depth_drains_to_zero() {
+        let _gate = gs_chaos::exclusive();
         let rt = HiActorRuntime::new(2);
         let rxs: Vec<_> = (0..100)
             .map(|i| rt.submit(Some(i % 2), move || i))
@@ -641,6 +585,7 @@ mod tests {
 
     #[test]
     fn plan_procedure_round_trip() {
+        let _gate = gs_chaos::exclusive();
         let g = graph();
         let s = g.schema().clone();
         let plan = lower_naive(&PlanBuilder::new(&s).scan("a", "V").unwrap().build()).unwrap();
@@ -652,6 +597,7 @@ mod tests {
 
     #[test]
     fn native_procedure_with_params() {
+        let _gate = gs_chaos::exclusive();
         let g = graph();
         let svc = QueryService::new(2);
         let gg = Arc::clone(&g);
@@ -680,6 +626,7 @@ mod tests {
 
     #[test]
     fn query_engine_runs_adhoc_plans() {
+        let _gate = gs_chaos::exclusive();
         use gs_ir::QueryEngine;
         let g = graph();
         let s = g.schema().clone();
@@ -692,12 +639,14 @@ mod tests {
 
     #[test]
     fn unknown_procedure_errors() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(1);
         assert!(svc.call_sync("ghost", HashMap::new()).is_err());
     }
 
     #[test]
     fn panicking_procedure_surfaces_structured_error() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(2);
         svc.register("boom", Arc::new(|_| panic!("procedure exploded")));
         svc.register("ok", Arc::new(|_| Ok(vec![vec![Value::Int(7)]])));
@@ -719,27 +668,55 @@ mod tests {
         }
     }
 
+    /// Plans never touch the shards: with every shard of the service
+    /// killed, ad-hoc and prepared plans still return the reference rows,
+    /// while a registered procedure reports the structured "terminated"
+    /// error.
     #[test]
-    fn adhoc_query_after_worker_death_reports_terminated() {
-        use gs_ir::QueryEngine;
+    fn plans_run_on_the_caller_when_every_shard_is_dead() {
+        let _gate = gs_chaos::exclusive();
+        use gs_ir::{QueryEngine, ReferenceEngine};
         let g = graph();
         let s = g.schema().clone();
-        let plan = lower_naive(&PlanBuilder::new(&s).scan("a", "V").unwrap().build()).unwrap();
-        let svc = QueryService::new(1);
-        // kill the single shard mid-stream: a job that panics, then an
-        // ad-hoc query right behind it on the same mailbox
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let dead = svc.runtime().submit(Some(0), || panic!("worker killed"));
-        assert!(dead.recv().is_err(), "panicked job must not reply");
-        std::panic::set_hook(prev);
-        // the runtime absorbed the death; the next query still runs
-        let rows = QueryEngine::execute(&svc, &plan, g.as_ref()).unwrap();
-        assert_eq!(rows.len(), 100);
+        let plan = lower_naive(
+            &PlanBuilder::new(&s)
+                .scan("a", "V")
+                .unwrap()
+                .expand_edge("a", "E", gs_grin::Direction::Out, "e")
+                .unwrap()
+                .get_vertex("e", "b")
+                .unwrap()
+                .build(),
+        )
+        .unwrap();
+        let svc = QueryService::new(2);
+        svc.register_plan("edges", plan.clone(), Arc::clone(&g) as Arc<dyn GrinGraph>);
+        for i in 0..svc.runtime().shard_count() {
+            svc.runtime().kill_shard(i);
+        }
+        while (0..2).any(|i| svc.runtime().shard_alive(i)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let want = ReferenceEngine::default()
+            .execute(&plan, g.as_ref())
+            .unwrap();
+        assert_eq!(want.len(), 300);
+        assert_eq!(QueryEngine::execute(&svc, &plan, g.as_ref()).unwrap(), want);
+        let prepared = svc.prepare(&plan).unwrap();
+        assert_eq!(prepared.engine_name(), "hiactor");
+        for _ in 0..3 {
+            assert_eq!(prepared.execute(g.as_ref()).unwrap(), want);
+        }
+        let err = svc.call_sync("edges", HashMap::new()).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Query(m) if m.contains("terminated")),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn concurrent_calls_complete() {
+        let _gate = gs_chaos::exclusive();
         let g = graph();
         let svc = QueryService::new(4);
         let gg = Arc::clone(&g);
@@ -764,6 +741,7 @@ mod tests {
     /// park on a mailbox nobody drains; round-robin routes around corpses.
     #[test]
     fn submit_to_dead_shard_errors_promptly() {
+        let _gate = gs_chaos::exclusive();
         let rt = HiActorRuntime::new(2);
         rt.kill_shard(0);
         while rt.shard_alive(0) {
@@ -782,6 +760,7 @@ mod tests {
     /// job got in before the kill, a disconnect otherwise. Never a hang.
     #[test]
     fn racing_submits_against_shard_death_never_hang() {
+        let _gate = gs_chaos::exclusive();
         let rt = Arc::new(HiActorRuntime::new(1));
         let rt2 = Arc::clone(&rt);
         let submitter = std::thread::spawn(move || {
@@ -802,6 +781,7 @@ mod tests {
 
     #[test]
     fn missed_deadline_surfaces_as_timeout() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(1).with_config(ServiceConfig {
             deadline: Some(Duration::from_millis(20)),
             ..Default::default()
@@ -820,6 +800,7 @@ mod tests {
 
     #[test]
     fn idempotent_retries_mask_a_transient_crash() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(2).with_config(ServiceConfig {
             retry: RetryPolicy::new(3, Duration::from_millis(1)),
             ..Default::default()
@@ -847,6 +828,7 @@ mod tests {
     /// replayed, however generous the retry policy.
     #[test]
     fn non_idempotent_procedures_are_never_retried() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(1).with_config(ServiceConfig {
             retry: RetryPolicy::new(4, Duration::from_millis(1)),
             ..Default::default()
@@ -873,6 +855,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_transport_failures_and_recovers() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(1).with_config(ServiceConfig {
             breaker: BreakerConfig {
                 failure_threshold: 2,
@@ -913,6 +896,7 @@ mod tests {
 
     #[test]
     fn saturated_service_sheds_calls_with_overloaded() {
+        let _gate = gs_chaos::exclusive();
         let svc = QueryService::new(1).with_config(ServiceConfig {
             overload_watermark: Some(3),
             ..Default::default()

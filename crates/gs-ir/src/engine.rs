@@ -2,25 +2,30 @@
 //!
 //! The Flex stack has three ways to run a [`PhysicalPlan`] — the
 //! single-threaded reference [`exec`](crate::exec)utor, Gaia's
-//! data-parallel dataflow runtime, and HiActor's shard-actor OLTP
-//! runtime. [`QueryEngine`] is the one interface all three implement, so
-//! engine choice becomes a value-level decision (`&dyn QueryEngine`)
-//! instead of a call-site decision: differential tests iterate over a
-//! slice of engines, and `gs-flex`'s builder hands back whichever engine
-//! the deployment descriptor selected.
+//! data-parallel dataflow runtime, and HiActor's OLTP service.
+//! [`QueryEngine`] is the one interface all three implement, so engine
+//! choice becomes a value-level decision (`&dyn QueryEngine`) instead of
+//! a call-site decision: differential tests iterate over a slice of
+//! engines, and `gs-flex`'s builder hands back whichever engine the
+//! deployment descriptor selected.
+//!
+//! Every engine's [`QueryEngine::prepare`] builds the same handle,
+//! [`Prepared`]: check the engine's required capabilities, verify the plan
+//! once against the graph's schema, then run the engine's plan runner on
+//! the calling thread. Engines differ only in that runner.
 
 use crate::physical::PhysicalPlan;
 use crate::record::Record;
 use crate::verify::{verify_on_submit, VerifyLevel};
 use crate::Result;
-use gs_grin::GrinGraph;
+use gs_grin::{Capabilities, GrinGraph};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A compiled, engine-resident query handle: the *execute-many* half of
 /// the prepare/execute split.
 ///
-/// Preparation runs the submit-time work — plan verification, and any
-/// per-plan state the engine wants to cache (stage partitioning, shard
-/// affinity) — exactly once; each [`PreparedQuery::execute`] then runs the
+/// Submit-time plan verification runs once, on the first execute (prepare
+/// has no schema in scope); each later [`PreparedQuery::execute`] runs the
 /// plan over a graph without repeating it. Handles are `Send + Sync` so a
 /// serving layer can share one prepared statement across sessions.
 pub trait PreparedQuery: Send + Sync {
@@ -37,36 +42,12 @@ pub trait PreparedQuery: Send + Sync {
     fn engine_name(&self) -> &'static str;
 }
 
-/// The engine-agnostic fallback handle returned by the default
-/// [`QueryEngine::prepare`]: execution delegates to the reference
-/// executor — semantically identical for any conforming engine (all
-/// engines must agree with [`crate::exec::execute`]), just without the
-/// engine's own scheduling.
-struct DefaultPrepared {
-    plan: PhysicalPlan,
-    engine: &'static str,
-}
-
-impl PreparedQuery for DefaultPrepared {
-    fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
-        crate::exec::execute(&self.plan, graph)
-    }
-
-    fn plan(&self) -> &PhysicalPlan {
-        &self.plan
-    }
-
-    fn engine_name(&self) -> &'static str {
-        self.engine
-    }
-}
-
 /// A query-execution engine: runs a physical plan over a GRIN graph to a
 /// materialised record batch.
 ///
 /// All implementations must agree with the reference executor's operator
 /// semantics ([`crate::exec::apply`]); they differ only in *how* the work
-/// is scheduled (single thread, data-parallel workers, shard actors).
+/// is scheduled (single thread or data-parallel workers).
 ///
 /// Engines are `Send + Sync`: a deployment hands one engine to many
 /// serving sessions, and prepared handles may outlive the call that
@@ -84,19 +65,9 @@ pub trait QueryEngine: Send + Sync {
 
     /// Prepares `plan` for repeated execution: parse → lower → optimize →
     /// verify happen *once* upstream, and the returned handle executes
-    /// many times without re-verifying.
-    ///
-    /// The default implementation wraps execution with reference semantics
-    /// — identical results for any conforming engine, just without its
-    /// scheduling. Engines with their own runtimes override this to
-    /// schedule through that runtime, verify once against their submit
-    /// policy, and cache per-plan state.
-    fn prepare(&self, plan: &PhysicalPlan) -> Result<Box<dyn PreparedQuery>> {
-        Ok(Box::new(DefaultPrepared {
-            plan: plan.clone(),
-            engine: self.name(),
-        }))
-    }
+    /// many times without re-verifying. Implementations return a
+    /// [`Prepared`] over their own plan runner.
+    fn prepare(&self, plan: &PhysicalPlan) -> Result<Box<dyn PreparedQuery>>;
 }
 
 /// The definitional engine: single-threaded, materialised intermediates,
@@ -127,72 +98,70 @@ impl QueryEngine for ReferenceEngine {
     }
 
     fn prepare(&self, plan: &PhysicalPlan) -> Result<Box<dyn PreparedQuery>> {
-        Ok(Box::new(VerifyOncePrepared::new(
-            plan.clone(),
-            self.verify,
+        Ok(Box::new(Prepared::new(
             "reference",
+            plan,
+            self.verify,
+            Capabilities::empty(),
+            crate::exec::execute,
         )))
     }
 }
 
-/// Shared verify-once state for engine-specific prepared handles: the
-/// first execute runs submit-time verification against the graph's schema
-/// (prepare itself has no schema in scope); subsequent executes skip it.
-pub struct VerifyOnce {
-    verify: VerifyLevel,
-    done: std::sync::atomic::AtomicBool,
-}
-
-impl VerifyOnce {
-    /// A fresh guard for the given submit-time level.
-    pub fn new(verify: VerifyLevel) -> Self {
-        Self {
-            verify,
-            done: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Verifies on the first call (per the handle's level), no-ops after a
-    /// success. A concurrent first call may verify twice — harmless, the
-    /// verifier is pure.
-    pub fn check(
-        &self,
-        plan: &PhysicalPlan,
-        schema: &gs_graph::schema::GraphSchema,
-        context: &str,
-    ) -> Result<()> {
-        use std::sync::atomic::Ordering;
-        if self.done.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        verify_on_submit(plan, schema, self.verify, context)?;
-        self.done.store(true, Ordering::Release);
-        Ok(())
-    }
-}
-
-/// [`ReferenceEngine`]'s prepared handle: verify once, then straight to
-/// the reference executor on every call.
-struct VerifyOncePrepared {
+/// The one prepared handle: every engine's [`QueryEngine::prepare`]
+/// builds it around that engine's plan runner `R`.
+///
+/// Each execute checks the graph against the engine's required
+/// capabilities; the first execute also runs submit-time verification,
+/// which later executes skip; then `R` runs the plan on the calling thread.
+/// `R` is a type parameter, so a handle over [`crate::exec::execute`] is a
+/// direct call with no per-execute clone or allocation.
+pub struct Prepared<R> {
     plan: PhysicalPlan,
-    once: VerifyOnce,
     engine: &'static str,
+    requires: Capabilities,
+    verify: VerifyLevel,
+    verified: AtomicBool,
+    run: R,
 }
 
-impl VerifyOncePrepared {
-    fn new(plan: PhysicalPlan, verify: VerifyLevel, engine: &'static str) -> Self {
+impl<R> Prepared<R>
+where
+    R: Fn(&PhysicalPlan, &dyn GrinGraph) -> Result<Vec<Record>> + Send + Sync,
+{
+    /// A handle for `engine` over a copy of `plan`, verifying at `verify`
+    /// and requiring `requires` of every graph it runs on.
+    pub fn new(
+        engine: &'static str,
+        plan: &PhysicalPlan,
+        verify: VerifyLevel,
+        requires: Capabilities,
+        run: R,
+    ) -> Self {
         Self {
-            plan,
-            once: VerifyOnce::new(verify),
+            plan: plan.clone(),
             engine,
+            requires,
+            verify,
+            verified: AtomicBool::new(false),
+            run,
         }
     }
 }
 
-impl PreparedQuery for VerifyOncePrepared {
+impl<R> PreparedQuery for Prepared<R>
+where
+    R: Fn(&PhysicalPlan, &dyn GrinGraph) -> Result<Vec<Record>> + Send + Sync,
+{
     fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
-        self.once.check(&self.plan, graph.schema(), self.engine)?;
-        crate::exec::execute(&self.plan, graph)
+        graph.capabilities().require(self.requires)?;
+        // a concurrent first call may verify twice — harmless, the
+        // verifier is pure
+        if !self.verified.load(Ordering::Acquire) {
+            verify_on_submit(&self.plan, graph.schema(), self.verify, self.engine)?;
+            self.verified.store(true, Ordering::Release);
+        }
+        (self.run)(&self.plan, graph)
     }
 
     fn plan(&self) -> &PhysicalPlan {

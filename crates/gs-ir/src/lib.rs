@@ -38,7 +38,7 @@ pub use cost::{
     cost_physical, enforce_cost, CardInterval, CostBudget, CostReport, CostStats, EdgeCostStats,
     OpCost,
 };
-pub use engine::{PreparedQuery, QueryEngine, ReferenceEngine, VerifyOnce};
+pub use engine::{Prepared, PreparedQuery, QueryEngine, ReferenceEngine};
 pub use expr::{AggFunc, BinOp, Expr};
 pub use logical::{LogicalOp, LogicalPlan};
 pub use pattern::{Pattern, PatternEdge, PatternVertex};

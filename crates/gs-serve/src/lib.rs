@@ -24,6 +24,8 @@
 //!   estimate exceeds the (per-tenant) budget is shed or demoted to
 //!   [`Priority::Low`] **before** the admission ladder — abusive queries
 //!   are rejected from the plan alone, never executed.
+//! * **Degradation**: an injected fault raised on the serving thread
+//!   during plan execution becomes a structured `Unavailable` error.
 //!
 //! Telemetry rows: `serve.admitted`, `serve.shed{reason,priority}`,
 //! `serve.breaker.rejected`, `serve.cost.demoted`,
@@ -44,6 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gs_graph::{GraphError, Result, Value};
+use gs_grin::GrinGraph;
 use gs_ir::cost::{cost_physical, CostReport, CostStats};
 use gs_ir::{PreparedQuery, QueryEngine, Record};
 use gs_lang::{CompiledQuery, Frontend};
@@ -346,7 +349,7 @@ impl Server {
             counter!("serve.result_cache.miss");
         }
         let started = Instant::now();
-        let outcome = entry.prepared.execute(snapshot.as_ref());
+        let outcome = execute_degrading(entry.prepared.as_ref(), snapshot.as_ref());
         self.admission
             .record_result(outcome.is_ok(), Instant::now());
         drop(guard);
@@ -366,6 +369,24 @@ impl Server {
                 Err(e)
             }
         }
+    }
+}
+
+/// Runs a prepared plan. An injected fault (a [`gs_chaos::ChaosUnwind`]
+/// panic, e.g. a storage read through `gs_chaos::ChaosGraph`) becomes a
+/// structured [`GraphError::Unavailable`], so the request degrades instead
+/// of taking the serving thread down; any other panic is a real bug and is
+/// re-raised.
+fn execute_degrading(prepared: &dyn PreparedQuery, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.execute(graph))) {
+        Ok(outcome) => outcome,
+        Err(payload) => match payload.downcast_ref::<gs_chaos::ChaosUnwind>() {
+            Some(fault) => Err(GraphError::Unavailable(format!(
+                "injected {} fault during execution",
+                fault.0
+            ))),
+            None => std::panic::resume_unwind(payload),
+        },
     }
 }
 

@@ -297,52 +297,103 @@ fn demoted_over_budget_query_sheds_at_the_low_watermark() {
     assert_eq!(stats.executed, 1);
 }
 
-/// Chaos-armed smoke: with shard faults injected under the HiActor
-/// engine, serving degrades — every request is accounted for as rows,
-/// a shed, or a structured error. Nothing panics, nothing hangs.
+/// Chaos-armed serving over the fraud workload. Plans run on the caller,
+/// so shard faults cannot reach them; storage-read faults can, and
+/// serving degrades — every request ends in rows, a shed, or a structured
+/// error. Nothing panics, nothing hangs.
 #[cfg(feature = "chaos")]
 mod chaos_on {
     use super::*;
+    use gs_chaos::{ChaosGraph, FaultPlan};
+    use gs_graph::GraphSchema;
+    use gs_grin::GrinGraph;
     use gs_hiactor::QueryService;
+    use gs_serve::ServeStore;
 
-    #[test]
-    fn serving_degrades_gracefully_under_injected_faults() {
-        let plan = gs_chaos::FaultPlan::new(0x5E12)
-            .slow_shard(0, std::time::Duration::from_millis(2))
-            .dead_shard(1, 6);
-        let ((ok, shed, errs, total), stats) = gs_chaos::with_chaos(plan, || {
+    /// Serves GART snapshots through [`ChaosGraph`], so the installed
+    /// plan's storage-read faults land inside plan execution.
+    struct ChaosServeStore(Arc<GartStore>);
+
+    impl ServeStore for ChaosServeStore {
+        fn schema(&self) -> &GraphSchema {
+            self.0.schema()
+        }
+
+        fn data_version(&self) -> u64 {
+            self.0.committed_version()
+        }
+
+        fn snapshot(&self) -> (Arc<dyn GrinGraph>, u64) {
+            let version = self.0.committed_version();
+            let snap = ChaosGraph::new(self.0.snapshot_at(version), "serve.snapshot");
+            (Arc::new(snap), version)
+        }
+    }
+
+    /// Point reads through a HiActor-served `Server` under `plan`:
+    /// `(ok, injected, shed, errs)` request counts and the fault stats.
+    fn serve_point_reads(
+        plan: FaultPlan,
+        store: impl FnOnce(Arc<GartStore>) -> Box<dyn ServeStore>,
+    ) -> ((u64, u64, u64, u64), gs_chaos::ChaosStats) {
+        gs_chaos::with_chaos(plan, || {
             let workload = fraud_graph(60, 20, 200, 50, 7);
-            let store = GartStore::from_data(&workload.data).expect("workload loads");
+            let gart = GartStore::from_data(&workload.data).expect("workload loads");
             let config = ServeConfig {
                 cache_results: false, // force every request onto the engine
                 ..Default::default()
             };
             let server = Arc::new(Server::new(
                 Box::new(QueryService::new(2)),
-                Box::new(GartServeStore::new(store)),
+                store(gart),
                 config,
             ));
             let params = HashMap::new();
             let session = server.session("checkout", Priority::High);
-            let (mut ok, mut shed, mut errs) = (0u64, 0u64, 0u64);
-            let total = 24u64;
-            for i in 0..total {
+            let (mut ok, mut injected, mut shed, mut errs) = (0u64, 0u64, 0u64, 0u64);
+            for i in 0..24 {
                 let q = format!("MATCH (v:Account {{id: {}}}) RETURN v", i % 10);
                 match session.query(Frontend::Cypher, &q, &params) {
                     Ok(_) => ok += 1,
+                    Err(GraphError::Unavailable(m)) if m.contains("injected") => injected += 1,
                     Err(GraphError::Overloaded { .. }) | Err(GraphError::Unavailable(_)) => {
                         shed += 1
                     }
                     Err(_) => errs += 1,
                 }
             }
-            (ok, shed, errs, total)
-        });
-        assert_eq!(ok + shed + errs, total, "every request must be accounted");
-        assert!(ok > 0, "a slow shard alone must not zero out the service");
+            (ok, injected, shed, errs)
+        })
+    }
+
+    #[test]
+    fn shard_faults_never_reach_plan_serving() {
+        let plan = FaultPlan::new(0x5E12)
+            .slow_shard(0, std::time::Duration::from_millis(2))
+            .dead_shard(1, 6);
+        let (counts, stats) = serve_point_reads(plan, |gart| Box::new(GartServeStore::new(gart)));
+        assert_eq!(counts, (24, 0, 0, 0), "every request must succeed");
+        assert_eq!(stats.total(), 0, "no shard job ran, so no fault fired");
+    }
+
+    #[test]
+    fn serving_degrades_gracefully_under_injected_faults() {
+        let plan = FaultPlan::new(0x5E12).storage_faults(0.25, 1);
+        let ((ok, injected, shed, errs), stats) =
+            serve_point_reads(plan, |gart| Box::new(ChaosServeStore(gart)));
+        assert_eq!(
+            ok + injected + shed + errs,
+            24,
+            "every request must be accounted"
+        );
+        assert_eq!(errs, 0, "faults must surface as structured errors");
         assert!(
-            stats.shard_delays > 0 || stats.shard_deaths > 0,
-            "faults must actually have fired: {stats:?}"
+            ok > 0,
+            "transient read faults must not zero out the service"
+        );
+        assert!(
+            injected > 0 && stats.storage_faults >= injected,
+            "faults must actually have fired: {injected} requests, {stats:?}"
         );
     }
 }
