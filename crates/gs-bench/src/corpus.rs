@@ -20,6 +20,32 @@ pub type CorpusSet = (
     Vec<(String, gs_graph::Result<LogicalPlan>)>,
 );
 
+/// The §8 fraud check, over [`fraud_data`] with [`fraud_params`].
+pub const FRAUD_CYPHER: &str = "MATCH (v:Account {id: 0})-[b1:BUY]->(:Item)<-[b2:BUY]-(s:Account) \
+     WHERE s.id IN $SEEDS AND b1.date - b2.date < 3 AND b2.date - b1.date < 3 \
+     WITH v, COUNT(s) AS cnt1 \
+     MATCH (v)-[:KNOWS]-(f:Account), (f)-[b3:BUY]->(:Item)<-[b4:BUY]-(s2:Account) \
+     WHERE s2.id IN $SEEDS \
+     WITH v, cnt1, COUNT(s2) AS cnt2 \
+     WHERE 2 * cnt1 + 1 * cnt2 > 3 \
+     RETURN v";
+
+/// The quickstart example's Cypher query, over [`quickstart_data`].
+pub const QUICKSTART_CYPHER: &str =
+    "MATCH (a:Person {name: 'ann'})-[:KNOWS]-(f:Person)-[:BUY]->(i:Item) \
+     RETURN f.name AS friend, i.price AS price ORDER BY price DESC LIMIT 10";
+
+/// The fraud set's graph.
+pub fn fraud_data() -> gs_datagen::apps::FraudWorkload {
+    gs_datagen::apps::fraud_graph(20, 10, 40, 0, 7)
+}
+
+/// `$SEEDS` of [`FRAUD_CYPHER`].
+pub fn fraud_params() -> HashMap<String, Value> {
+    let seeds = Value::List(vec![Value::Int(1), Value::Int(2)]);
+    HashMap::from([("SEEDS".to_string(), seeds)])
+}
+
 /// Builds the whole corpus; the quickstart set comes last.
 pub fn corpus() -> Vec<CorpusSet> {
     // ---- LDBC SNB BI 1..=20 ------------------------------------------
@@ -33,18 +59,8 @@ pub fn corpus() -> Vec<CorpusSet> {
         .collect();
 
     // ---- §8 fraud detection (Cypher frontend) ------------------------
-    let fraud = gs_datagen::apps::fraud_graph(20, 10, 40, 0, 7);
-    let fraud_q = "MATCH (v:Account {id: 0})-[b1:BUY]->(:Item)<-[b2:BUY]-(s:Account) \
-                   WHERE s.id IN $SEEDS AND b1.date - b2.date < 3 AND b2.date - b1.date < 3 \
-                   WITH v, COUNT(s) AS cnt1 \
-                   MATCH (v)-[:KNOWS]-(f:Account), (f)-[b3:BUY]->(:Item)<-[b4:BUY]-(s2:Account) \
-                   WHERE s2.id IN $SEEDS \
-                   WITH v, cnt1, COUNT(s2) AS cnt2 \
-                   WHERE 2 * cnt1 + 1 * cnt2 > 3 \
-                   RETURN v";
-    let seeds = Value::List(vec![Value::Int(1), Value::Int(2)]);
-    let fraud_params = HashMap::from([("SEEDS".to_string(), seeds)]);
-    let fraud_plan = gs_lang::parse_cypher(fraud_q, &fraud.data.schema, &fraud_params);
+    let fraud = fraud_data();
+    let fraud_plan = gs_lang::parse_cypher(FRAUD_CYPHER, &fraud.data.schema, &fraud_params());
 
     // ---- §8 cyber monitoring (Gremlin frontend) ----------------------
     let cyber = gs_datagen::apps::cyber_graph(4, 1, 1);
@@ -54,11 +70,9 @@ pub fn corpus() -> Vec<CorpusSet> {
     // ---- quickstart example (both frontends) -------------------------
     let quickstart = quickstart_data();
     let schema = &quickstart.schema;
-    let cypher = "MATCH (a:Person {name: 'ann'})-[:KNOWS]-(f:Person)-[:BUY]->(i:Item) \
-                  RETURN f.name AS friend, i.price AS price ORDER BY price DESC LIMIT 10";
     let gremlin =
         "g.V().hasLabel('Person').has('name', 'ann').out('KNOWS').out('BUY').values('price')";
-    let cypher_plan = gs_lang::parse_cypher(cypher, schema, &HashMap::new());
+    let cypher_plan = gs_lang::parse_cypher(QUICKSTART_CYPHER, schema, &HashMap::new());
     let gremlin_plan = gs_lang::parse_gremlin(gremlin, schema);
 
     vec![
@@ -77,7 +91,7 @@ pub fn corpus() -> Vec<CorpusSet> {
 
 /// The graph from `examples/quickstart.rs`, rebuilt so its queries can be
 /// checked without running the example.
-fn quickstart_data() -> PropertyGraphData {
+pub fn quickstart_data() -> PropertyGraphData {
     use gs_graph::value::ValueType;
     let mut schema = GraphSchema::new();
     let person = schema.add_vertex_label(

@@ -98,7 +98,9 @@ pub fn templates() -> [Template; 3] {
     ]
 }
 
-fn template_text(template: usize, account: u64) -> String {
+/// The storm's statement texts: point read (0), one-hop degree (1) and
+/// the §8 fraud check (2, taking `$SEEDS`), with the account inline.
+pub fn template_text(template: usize, account: u64) -> String {
     match template {
         0 => format!("MATCH (v:Account {{id: {account}}}) RETURN v"),
         1 => format!(

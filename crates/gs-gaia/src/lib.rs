@@ -376,9 +376,9 @@ fn scan_partitioned(
         return Err(GraphError::Query("scan_partitioned on non-scan".into()));
     };
     let mut vertices: Vec<Value> = Vec::new();
-    if let Some((prop, val)) = index_lookup {
+    if let Some((prop, key)) = index_lookup {
         for (i, v) in graph
-            .vertices_by_property(*label, *prop, val)
+            .vertices_by_property(*label, *prop, &key.eval(&[], graph)?)
             .into_iter()
             .enumerate()
         {

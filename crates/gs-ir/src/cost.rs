@@ -381,13 +381,18 @@ impl<'a> CostChecker<'a> {
             },
             Expr::Not(e) => (1.0 - self.selectivity(e)).clamp(0.0, 1.0),
             Expr::In { expr, list } => {
+                // a list slot's length is unknown until bound
+                let Some(len) = list.list_len() else {
+                    self.defaults_used += 1;
+                    return 0.5;
+                };
                 if let Expr::VertexId { label, .. } = &**expr {
                     if let Some(n) = self.stats.and_then(|s| s.label_count(*label)) {
-                        return (list.len() as f64 / n.max(1.0)).min(1.0);
+                        return (len as f64 / n.max(1.0)).min(1.0);
                     }
                 }
                 self.defaults_used += 1;
-                (list.len() as f64 / DEFAULT_LABEL_COUNT).min(1.0)
+                (len as f64 / DEFAULT_LABEL_COUNT).min(1.0)
             }
             Expr::Const(gs_graph::Value::Bool(b)) => {
                 if *b {

@@ -17,7 +17,7 @@
 use crate::physical::PhysicalPlan;
 use crate::record::Record;
 use crate::verify::{verify_on_submit, VerifyLevel};
-use crate::Result;
+use crate::{Result, Value};
 use gs_grin::{Capabilities, GrinGraph};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -28,12 +28,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// has no schema in scope); each later [`PreparedQuery::execute`] runs the
 /// plan over a graph without repeating it. Handles are `Send + Sync` so a
 /// serving layer can share one prepared statement across sessions.
+///
+/// A handle may be prepared from a statement *template*, whose plan holds
+/// parameter slots ([`crate::Slot`]); each execution binds them to
+/// constants first ([`PreparedQuery::execute_with`]), so the engine's plan
+/// runner never sees a slot.
 pub trait PreparedQuery: Send + Sync {
-    /// Runs the prepared plan to completion over `graph`.
+    /// Runs the prepared plan to completion over `graph`, with its
+    /// parameter slots bound to `binds` (a slot-free plan ignores them).
     ///
     /// Same contract as [`QueryEngine::execute`]: the batch is fully
     /// materialised on return and no reference to `graph` is retained.
-    fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>>;
+    fn execute_with(&self, graph: &dyn GrinGraph, binds: &[Value]) -> Result<Vec<Record>>;
+
+    /// Runs a slot-free prepared plan: [`PreparedQuery::execute_with`]
+    /// with no binds.
+    fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
+        self.execute_with(graph, &[])
+    }
 
     /// The physical plan this handle was prepared from.
     fn plan(&self) -> &PhysicalPlan;
@@ -113,11 +125,16 @@ impl QueryEngine for ReferenceEngine {
 ///
 /// Each execute checks the graph against the engine's required
 /// capabilities; the first execute also runs submit-time verification,
-/// which later executes skip; then `R` runs the plan on the calling thread.
-/// `R` is a type parameter, so a handle over [`crate::exec::execute`] is a
-/// direct call with no per-execute clone or allocation.
+/// which later executes skip (verifying a template covers every binding:
+/// a slot verifies as a constant of its type, and binding checks that
+/// type); then `R` runs the plan on the calling thread. `R` is a type
+/// parameter, so a handle over [`crate::exec::execute`] is a direct call,
+/// and a slot-free plan runs with no per-execute clone or allocation.
 pub struct Prepared<R> {
     plan: PhysicalPlan,
+    /// Whether the plan holds parameter slots, which each execute binds
+    /// on a copy of the plan.
+    slotted: bool,
     engine: &'static str,
     requires: Capabilities,
     verify: VerifyLevel,
@@ -140,6 +157,8 @@ where
     ) -> Self {
         Self {
             plan: plan.clone(),
+            // binding with no values fails exactly when a slot is present
+            slotted: plan.bind(&[]).is_err(),
             engine,
             requires,
             verify,
@@ -153,7 +172,7 @@ impl<R> PreparedQuery for Prepared<R>
 where
     R: Fn(&PhysicalPlan, &dyn GrinGraph) -> Result<Vec<Record>> + Send + Sync,
 {
-    fn execute(&self, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
+    fn execute_with(&self, graph: &dyn GrinGraph, binds: &[Value]) -> Result<Vec<Record>> {
         graph.capabilities().require(self.requires)?;
         // a concurrent first call may verify twice — harmless, the
         // verifier is pure
@@ -161,7 +180,11 @@ where
             verify_on_submit(&self.plan, graph.schema(), self.verify, self.engine)?;
             self.verified.store(true, Ordering::Release);
         }
-        (self.run)(&self.plan, graph)
+        if self.slotted {
+            (self.run)(&self.plan.bind(binds)?, graph)
+        } else {
+            (self.run)(&self.plan, graph)
+        }
     }
 
     fn plan(&self) -> &PhysicalPlan {

@@ -62,9 +62,9 @@ pub fn apply(op: &PhysicalOp, input: Vec<Record>, graph: &dyn GrinGraph) -> Resu
         } => {
             let mut out = Vec::new();
             // resolve the vertex set once; cross-product with input records
-            let vertices: Vec<Value> = if let Some((prop, val)) = index_lookup {
+            let vertices: Vec<Value> = if let Some((prop, key)) = index_lookup {
                 graph
-                    .vertices_by_property(*label, *prop, val)
+                    .vertices_by_property(*label, *prop, &key.eval(&[], graph)?)
                     .into_iter()
                     .map(|v| Value::Vertex(v, *label))
                     .collect()

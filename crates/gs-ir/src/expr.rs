@@ -3,8 +3,13 @@
 //! Expressions reference record columns positionally (bound by the planner
 //! from aliases); property accesses carry the resolved `(label, PropId)` so
 //! evaluation never does name lookups.
+//!
+//! A statement *template* holds [`Expr::Param`] slots where its source text
+//! had value literals. Verification and costing read a slot as a constant
+//! of its declared type; [`Expr::bind`] turns every slot into a constant
+//! before a plan executes, so engines never evaluate one.
 
-use gs_graph::{GraphError, LabelId, PropId, Result, Value};
+use gs_graph::{GraphError, LabelId, PropId, Result, Value, ValueType};
 use gs_grin::{CmpOp, GrinGraph};
 
 /// Binary operators (arithmetic + comparison + boolean).
@@ -36,11 +41,41 @@ pub enum AggFunc {
     Collect,
 }
 
+/// A parameter slot of a statement template: the `index`-th value of the
+/// statement's binds, of static type `ty` (every binding of the template
+/// has this type).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Slot {
+    pub index: usize,
+    pub ty: ValueType,
+}
+
+impl Slot {
+    /// The value bound to this slot: `binds[index]`, which must have the
+    /// slot's type.
+    pub(crate) fn bound<'a>(&self, binds: &'a [Value]) -> Result<&'a Value> {
+        let v = binds.get(self.index).ok_or_else(|| {
+            GraphError::Query(format!("parameter slot {} is unbound", self.index))
+        })?;
+        if v.value_type() != self.ty {
+            return Err(GraphError::Type(format!(
+                "parameter slot {} is {:?}, bound to {:?}",
+                self.index,
+                self.ty,
+                v.value_type()
+            )));
+        }
+        Ok(v)
+    }
+}
+
 /// A scalar expression tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// A literal constant.
     Const(Value),
+    /// A template's parameter slot; a constant once bound.
+    Param(Slot),
     /// The whole value of a record column.
     Column(usize),
     /// A vertex property: `record[col]` must be `Value::Vertex`.
@@ -66,10 +101,11 @@ pub enum Expr {
         rhs: Box<Expr>,
     },
     Not(Box<Expr>),
-    /// Membership in a literal list.
+    /// Membership in a constant list (a [`Expr::Const`] or a slot); a
+    /// scalar constant is a one-element list.
     In {
         expr: Box<Expr>,
-        list: Vec<Value>,
+        list: Box<Expr>,
     },
 }
 
@@ -83,10 +119,49 @@ impl Expr {
         }
     }
 
+    /// How many values an `IN` list of this expression holds, when known
+    /// without binding (a list-typed slot has no static length).
+    pub fn list_len(&self) -> Option<usize> {
+        match self {
+            Expr::Const(Value::List(items)) => Some(items.len()),
+            Expr::Param(Slot {
+                ty: ValueType::List,
+                ..
+            }) => None,
+            _ => Some(1),
+        }
+    }
+
+    /// Replaces every parameter slot with its bound constant.
+    pub fn bind(&mut self, binds: &[Value]) -> Result<()> {
+        match self {
+            Expr::Param(slot) => *self = Expr::Const(slot.bound(binds)?.clone()),
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.bind(binds)?;
+                rhs.bind(binds)?;
+            }
+            Expr::Not(e) => e.bind(binds)?,
+            Expr::In { expr, list } => {
+                expr.bind(binds)?;
+                list.bind(binds)?;
+            }
+            Expr::Const(_)
+            | Expr::Column(_)
+            | Expr::VertexProp { .. }
+            | Expr::EdgeProp { .. }
+            | Expr::VertexId { .. } => {}
+        }
+        Ok(())
+    }
+
     /// Evaluates against a record within a graph.
     pub fn eval(&self, rec: &[Value], graph: &dyn GrinGraph) -> Result<Value> {
         match self {
             Expr::Const(v) => Ok(v.clone()),
+            Expr::Param(slot) => Err(GraphError::Query(format!(
+                "parameter slot {} is unbound",
+                slot.index
+            ))),
             Expr::Column(i) => rec
                 .get(*i)
                 .cloned()
@@ -153,7 +228,14 @@ impl Expr {
                 if v.is_null() {
                     return Ok(Value::Bool(false));
                 }
-                Ok(Value::Bool(list.iter().any(|x| v.total_cmp(x).is_eq())))
+                let hit = |items: &[Value]| items.iter().any(|x| v.total_cmp(x).is_eq());
+                Ok(Value::Bool(match &**list {
+                    Expr::Const(Value::List(items)) => hit(items),
+                    other => match other.eval(rec, graph)? {
+                        Value::List(items) => hit(&items),
+                        single => hit(std::slice::from_ref(&single)),
+                    },
+                }))
             }
         }
     }
@@ -166,7 +248,7 @@ impl Expr {
     /// Collects the record columns this expression reads.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {
-            Expr::Const(_) => {}
+            Expr::Const(_) | Expr::Param(_) => {}
             Expr::Column(i)
             | Expr::VertexProp { col: i, .. }
             | Expr::EdgeProp { col: i, .. }
@@ -176,7 +258,10 @@ impl Expr {
                 rhs.referenced_columns(out);
             }
             Expr::Not(e) => e.referenced_columns(out),
-            Expr::In { expr, .. } => expr.referenced_columns(out),
+            Expr::In { expr, list } => {
+                expr.referenced_columns(out);
+                list.referenced_columns(out);
+            }
         }
     }
 
@@ -185,6 +270,7 @@ impl Expr {
     pub fn remap_columns(&self, map: &dyn Fn(usize) -> Option<usize>) -> Option<Expr> {
         Some(match self {
             Expr::Const(v) => Expr::Const(v.clone()),
+            Expr::Param(slot) => Expr::Param(*slot),
             Expr::Column(i) => Expr::Column(map(*i)?),
             Expr::VertexProp { col, label, prop } => Expr::VertexProp {
                 col: map(*col)?,
@@ -208,7 +294,7 @@ impl Expr {
             Expr::Not(e) => Expr::Not(Box::new(e.remap_columns(map)?)),
             Expr::In { expr, list } => Expr::In {
                 expr: Box::new(expr.remap_columns(map)?),
-                list: list.clone(),
+                list: Box::new(list.remap_columns(map)?),
             },
         })
     }
@@ -338,7 +424,7 @@ mod tests {
         let g = g();
         let e = Expr::In {
             expr: Box::new(Expr::Const(Value::Int(3))),
-            list: vec![Value::Int(1), Value::Int(3)],
+            list: Box::new(Expr::Const(Value::List(vec![Value::Int(1), Value::Int(3)]))),
         };
         assert_eq!(e.eval(&[], &g).unwrap(), Value::Bool(true));
         let ne = Expr::Not(Box::new(e));

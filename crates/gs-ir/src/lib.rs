@@ -39,7 +39,7 @@ pub use cost::{
     OpCost,
 };
 pub use engine::{Prepared, PreparedQuery, QueryEngine, ReferenceEngine};
-pub use expr::{AggFunc, BinOp, Expr};
+pub use expr::{AggFunc, BinOp, Expr, Slot};
 pub use logical::{LogicalOp, LogicalPlan};
 pub use pattern::{Pattern, PatternEdge, PatternVertex};
 pub use physical::{PhysicalOp, PhysicalPlan};

@@ -31,12 +31,13 @@ pub enum ExpandOut {
 #[derive(Clone, Debug, PartialEq)]
 pub enum PhysicalOp {
     /// Source: emit one record per vertex of `label` (cross-producted with
-    /// any incoming records). `index_lookup` uses a property index instead
-    /// of a full scan when the store supports it.
+    /// any incoming records). `index_lookup` (a property and a constant or
+    /// slot to equal) uses a property index instead of a full scan when
+    /// the store supports it.
     Scan {
         label: LabelId,
         predicate: Option<Expr>,
-        index_lookup: Option<(PropId, Value)>,
+        index_lookup: Option<(PropId, Expr)>,
     },
     /// Flat-map: expand adjacency of the vertex at `src_col`.
     Expand {
@@ -193,6 +194,41 @@ impl PhysicalOp {
         )
     }
 
+    /// Binds every parameter slot of this op's expressions.
+    fn bind(&mut self, binds: &[Value]) -> Result<()> {
+        let bind_opt = |e: &mut Option<Expr>| e.as_mut().map_or(Ok(()), |e| e.bind(binds));
+        match self {
+            PhysicalOp::Scan {
+                predicate,
+                index_lookup,
+                ..
+            } => {
+                bind_opt(predicate)?;
+                if let Some((_, key)) = index_lookup {
+                    key.bind(binds)?;
+                }
+            }
+            PhysicalOp::Expand { predicate, .. }
+            | PhysicalOp::GetVertex { predicate, .. }
+            | PhysicalOp::ExpandIntersect { predicate, .. } => bind_opt(predicate)?,
+            PhysicalOp::Select { predicate } => predicate.bind(binds)?,
+            PhysicalOp::Project { items } => {
+                for (item, _) in items {
+                    match item {
+                        ProjectItem::Expr(e) | ProjectItem::Agg(_, e) => e.bind(binds)?,
+                    }
+                }
+            }
+            PhysicalOp::Order { keys, .. } => {
+                for (e, _) in keys {
+                    e.bind(binds)?;
+                }
+            }
+            PhysicalOp::Dedup { .. } | PhysicalOp::Limit { .. } => {}
+        }
+        Ok(())
+    }
+
     /// Stable lowercase operator name, used as the `op` telemetry field
     /// on `ir.cost.actual_rows` and in costcheck reports.
     pub fn name(&self) -> &'static str {
@@ -215,6 +251,19 @@ impl PhysicalOp {
 pub struct PhysicalPlan {
     pub ops: Vec<PhysicalOp>,
     pub layout: Layout,
+}
+
+impl PhysicalPlan {
+    /// A copy of this plan with every parameter slot bound to its value in
+    /// `binds`. Binding a plan without slots copies it; a slot without a
+    /// value of its type is an error, so the result has no slot left.
+    pub fn bind(&self, binds: &[Value]) -> Result<PhysicalPlan> {
+        let mut plan = self.clone();
+        for op in &mut plan.ops {
+            op.bind(binds)?;
+        }
+        Ok(plan)
+    }
 }
 
 /// Lowering fails with a verifier [`Diagnostic`], so a malformed logical
@@ -452,18 +501,23 @@ fn remap_to(p: &Expr, col: usize) -> LowerResult<Expr> {
 }
 
 /// Extracts `prop == const` from a vertex predicate for index lookups.
-fn extract_eq_lookup(p: &Expr) -> Option<(PropId, Value)> {
+fn extract_eq_lookup(p: &Expr) -> Option<(PropId, Expr)> {
     if let Expr::Binary {
         op: crate::expr::BinOp::Eq,
         lhs,
         rhs,
     } = p
     {
-        if let (Expr::VertexProp { col: 0, prop, .. }, Expr::Const(v)) = (&**lhs, &**rhs) {
-            return Some((*prop, v.clone()));
+        let key = |e: &Expr| matches!(e, Expr::Const(_) | Expr::Param(_));
+        if let (Expr::VertexProp { col: 0, prop, .. }, v) = (&**lhs, &**rhs) {
+            if key(v) {
+                return Some((*prop, v.clone()));
+            }
         }
-        if let (Expr::Const(v), Expr::VertexProp { col: 0, prop, .. }) = (&**lhs, &**rhs) {
-            return Some((*prop, v.clone()));
+        if let (v, Expr::VertexProp { col: 0, prop, .. }) = (&**lhs, &**rhs) {
+            if key(v) {
+                return Some((*prop, v.clone()));
+            }
         }
     }
     None

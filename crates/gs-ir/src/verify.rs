@@ -398,6 +398,8 @@ impl<'a> Checker<'a> {
                     Some(v.value_type())
                 }
             }
+            // a slot is a constant of its declared type in every binding
+            Expr::Param(slot) => (slot.ty != ValueType::Null).then_some(slot.ty),
             Expr::Column(i) => match kinds.get(*i) {
                 Some(ColumnKind::Vertex(_)) => Some(ValueType::Vertex),
                 Some(ColumnKind::Edge(_)) => Some(ValueType::Edge),
@@ -572,7 +574,7 @@ impl<'a> Checker<'a> {
 
     /// Checks a predicate expression: well-typed and boolean-valued.
     fn check_predicate(&mut self, p: &Expr, kinds: &[ColumnKind], what: &str) {
-        if matches!(p, Expr::Const(_)) {
+        if matches!(p, Expr::Const(_) | Expr::Param(_)) {
             self.warn(W_CONST_PREDICATE, format!("{what} predicate is a constant"));
         }
         if let Some(t) = self.expr_type(p, kinds) {

@@ -14,24 +14,44 @@
 //!
 //! Multiple `MATCH` clauses extend previously-bound aliases — the paper's §8
 //! fraud query (two MATCHes joined through `v` with aggregating `WITH`
-//! stages) parses end-to-end. `$param` references resolve against a
-//! caller-supplied parameter map, which is how stored procedures inject
-//! fraud-seed lists.
+//! stages) parses end-to-end.
+//!
+//! Value literals and `$name` references reach the parser already folded
+//! into single tokens by the statement-key pass (`crate::template`): bound
+//! to their values on the literal path ([`parse_cypher`]), or as typed
+//! parameter slots for a statement template.
 
-use crate::lexer::{tokenize, Cursor, Token};
+use crate::lexer::{Cursor, Token};
+use crate::template::cypher_tokens;
 use gs_graph::schema::GraphSchema;
 use gs_graph::{GraphError, Result, Value};
 use gs_ir::logical::ProjectItem;
 use gs_ir::{AggFunc, BinOp, Expr, LogicalPlan, Pattern, PlanBuilder};
 use std::collections::HashMap;
 
-/// Parses a Cypher statement into a logical plan.
+/// Parses a Cypher statement into a logical plan with every value literal
+/// inline; `$name` references take their values from `params`.
 pub fn parse_cypher(
     src: &str,
     schema: &GraphSchema,
     params: &HashMap<String, Value>,
 ) -> Result<LogicalPlan> {
-    let mut cur = Cursor::new(tokenize(src)?);
+    parse(cypher_tokens(src, params, true)?, schema)
+}
+
+/// Parses a Cypher statement into its template's logical plan: each value
+/// literal and `$name` is a typed parameter slot (`params` give the types
+/// of `$name` slots).
+pub(crate) fn parse_cypher_template(
+    src: &str,
+    schema: &GraphSchema,
+    params: &HashMap<String, Value>,
+) -> Result<LogicalPlan> {
+    parse(cypher_tokens(src, params, false)?, schema)
+}
+
+fn parse(tokens: Vec<Token>, schema: &GraphSchema) -> Result<LogicalPlan> {
+    let mut cur = Cursor::new(tokens);
     let mut builder = PlanBuilder::new(schema);
     let mut anon = 0usize;
     let mut saw_return = false;
@@ -41,14 +61,14 @@ pub fn parse_cypher(
             continue;
         }
         if cur.eat_kw("MATCH") {
-            let pattern = parse_patterns(&mut cur, &builder, &mut anon, params)?;
+            let pattern = parse_patterns(&mut cur, &builder, &mut anon)?;
             builder = builder.match_pattern(pattern)?;
             if cur.eat_kw("WHERE") {
-                let pred = parse_expr(&mut cur, &builder, params)?;
+                let pred = parse_expr(&mut cur, &builder)?;
                 builder = builder.select(pred);
             }
         } else if cur.eat_kw("WITH") {
-            let items = parse_items(&mut cur, &builder, params)?;
+            let items = parse_items(&mut cur, &builder)?;
             builder = builder.project(
                 items
                     .iter()
@@ -56,13 +76,13 @@ pub fn parse_cypher(
                     .collect(),
             )?;
             if cur.eat_kw("WHERE") {
-                let pred = parse_expr(&mut cur, &builder, params)?;
+                let pred = parse_expr(&mut cur, &builder)?;
                 builder = builder.select(pred);
             }
         } else if cur.eat_kw("RETURN") {
             saw_return = true;
             let distinct = cur.eat_kw("DISTINCT");
-            let items = parse_items(&mut cur, &builder, params)?;
+            let items = parse_items(&mut cur, &builder)?;
             builder = builder.project(
                 items
                     .iter()
@@ -78,7 +98,7 @@ pub fn parse_cypher(
                 }
                 let mut keys = Vec::new();
                 loop {
-                    let k = parse_expr(&mut cur, &builder, params)?;
+                    let k = parse_expr(&mut cur, &builder)?;
                     let asc = if cur.eat_kw("DESC") {
                         false
                     } else {
@@ -131,24 +151,19 @@ fn parse_usize(cur: &mut Cursor) -> Result<usize> {
 struct RawNode {
     alias: String,
     label: Option<String>,
-    props: Vec<(String, Value)>,
+    props: Vec<(String, Expr)>,
 }
 
 struct RawEdge {
     alias: Option<String>,
     etype: String,
-    props: Vec<(String, Value)>,
+    props: Vec<(String, Expr)>,
     /// Left-to-right as written: Some(true) = `->`, Some(false) = `<-`,
     /// None = undirected.
     right: Option<bool>,
 }
 
-fn parse_patterns(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    anon: &mut usize,
-    params: &HashMap<String, Value>,
-) -> Result<Pattern> {
+fn parse_patterns(cur: &mut Cursor, builder: &PlanBuilder, anon: &mut usize) -> Result<Pattern> {
     let mut nodes: Vec<RawNode> = Vec::new();
     let mut links: Vec<(usize, RawEdge, usize)> = Vec::new();
 
@@ -168,11 +183,11 @@ fn parse_patterns(
 
     loop {
         // one path
-        let first = parse_node(cur, anon, params)?;
+        let first = parse_node(cur, anon)?;
         let mut prev = node_index(&mut nodes, first);
         while matches!(cur.peek(), Token::Minus | Token::ArrowLeft) {
-            let edge = parse_edge(cur, params)?;
-            let node = parse_node(cur, anon, params)?;
+            let edge = parse_edge(cur)?;
+            let node = parse_node(cur, anon)?;
             let ni = node_index(&mut nodes, node);
             links.push((prev, edge, ni));
             prev = ni;
@@ -182,14 +197,10 @@ fn parse_patterns(
         }
     }
 
-    build_pattern(nodes, links, builder, params)
+    build_pattern(nodes, links, builder)
 }
 
-fn parse_node(
-    cur: &mut Cursor,
-    anon: &mut usize,
-    params: &HashMap<String, Value>,
-) -> Result<RawNode> {
+fn parse_node(cur: &mut Cursor, anon: &mut usize) -> Result<RawNode> {
     cur.expect(&Token::LParen)?;
     let alias = if let Token::Ident(_) = cur.peek() {
         cur.ident()?
@@ -203,7 +214,7 @@ fn parse_node(
         None
     };
     let props = if cur.peek() == &Token::LBrace {
-        parse_prop_map(cur, params)?
+        parse_prop_map(cur)?
     } else {
         Vec::new()
     };
@@ -215,7 +226,7 @@ fn parse_node(
     })
 }
 
-fn parse_edge(cur: &mut Cursor, params: &HashMap<String, Value>) -> Result<RawEdge> {
+fn parse_edge(cur: &mut Cursor) -> Result<RawEdge> {
     // entry: either `-[` ... `]->` / `]-`  or  `<-[` ... `]-`
     let from_left = if cur.eat(&Token::ArrowLeft) {
         // `<-[`
@@ -238,7 +249,7 @@ fn parse_edge(cur: &mut Cursor, params: &HashMap<String, Value>) -> Result<RawEd
         ));
     };
     let props = if cur.peek() == &Token::LBrace {
-        parse_prop_map(cur, params)?
+        parse_prop_map(cur)?
     } else {
         Vec::new()
     };
@@ -264,16 +275,13 @@ fn parse_edge(cur: &mut Cursor, params: &HashMap<String, Value>) -> Result<RawEd
     })
 }
 
-fn parse_prop_map(
-    cur: &mut Cursor,
-    params: &HashMap<String, Value>,
-) -> Result<Vec<(String, Value)>> {
+fn parse_prop_map(cur: &mut Cursor) -> Result<Vec<(String, Expr)>> {
     cur.expect(&Token::LBrace)?;
     let mut out = Vec::new();
     loop {
         let key = cur.ident()?;
         cur.expect(&Token::Colon)?;
-        let v = parse_literal(cur, params)?;
+        let v = parse_value(cur)?;
         out.push((key, v));
         if !cur.eat(&Token::Comma) {
             break;
@@ -283,36 +291,11 @@ fn parse_prop_map(
     Ok(out)
 }
 
-fn parse_literal(cur: &mut Cursor, params: &HashMap<String, Value>) -> Result<Value> {
+/// A value: one literal the statement-key pass folded into a token.
+fn parse_value(cur: &mut Cursor) -> Result<Expr> {
     match cur.next() {
-        Token::Int(i) => Ok(Value::Int(i)),
-        Token::Float(f) => Ok(Value::Float(f)),
-        Token::Str(s) => Ok(Value::Str(s)),
-        Token::Ident(s) if s.eq_ignore_ascii_case("true") => Ok(Value::Bool(true)),
-        Token::Ident(s) if s.eq_ignore_ascii_case("false") => Ok(Value::Bool(false)),
-        Token::Ident(s) if s.eq_ignore_ascii_case("null") => Ok(Value::Null),
-        Token::Param(p) => params
-            .get(&p)
-            .cloned()
-            .ok_or_else(|| GraphError::Query(format!("missing parameter ${p}"))),
-        Token::Minus => match cur.next() {
-            Token::Int(i) => Ok(Value::Int(-i)),
-            Token::Float(f) => Ok(Value::Float(-f)),
-            other => Err(GraphError::Query(format!("bad negative literal {other:?}"))),
-        },
-        Token::LBracket => {
-            let mut list = Vec::new();
-            if !cur.eat(&Token::RBracket) {
-                loop {
-                    list.push(parse_literal(cur, params)?);
-                    if !cur.eat(&Token::Comma) {
-                        break;
-                    }
-                }
-                cur.expect(&Token::RBracket)?;
-            }
-            Ok(Value::List(list))
-        }
+        Token::Value(v) => Ok(Expr::Const(v)),
+        Token::Slot(slot) => Ok(Expr::Param(slot)),
         other => Err(GraphError::Query(format!(
             "expected literal, found {other:?}"
         ))),
@@ -325,7 +308,6 @@ fn build_pattern(
     nodes: Vec<RawNode>,
     links: Vec<(usize, RawEdge, usize)>,
     builder: &PlanBuilder,
-    _params: &HashMap<String, Value>,
 ) -> Result<Pattern> {
     let schema = builder.schema();
     let mut labels: Vec<Option<gs_graph::LabelId>> = nodes
@@ -393,14 +375,10 @@ fn build_pattern(
                         label,
                         prop: p.id,
                     },
-                    Expr::Const(v.clone()),
+                    v.clone(),
                 )
             } else if k == "id" {
-                Expr::bin(
-                    BinOp::Eq,
-                    Expr::VertexId { col: 0, label },
-                    Expr::Const(v.clone()),
-                )
+                Expr::bin(BinOp::Eq, Expr::VertexId { col: 0, label }, v.clone())
             } else {
                 return Err(GraphError::Query(format!("unknown property `{k}`")));
             };
@@ -431,7 +409,7 @@ fn build_pattern(
                     label: def.id,
                     prop: p.id,
                 },
-                Expr::Const(v.clone()),
+                v.clone(),
             );
             pattern.and_edge_predicate(ei, pred);
         }
@@ -441,14 +419,10 @@ fn build_pattern(
 
 // ---------------- items & expressions ----------------
 
-fn parse_items(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Vec<(ProjectItem, String)>> {
+fn parse_items(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Vec<(ProjectItem, String)>> {
     let mut items = Vec::new();
     loop {
-        let (item, default_name) = parse_item(cur, builder, params)?;
+        let (item, default_name) = parse_item(cur, builder)?;
         let name = if cur.eat_kw("AS") {
             cur.ident()?
         } else {
@@ -475,11 +449,7 @@ fn agg_func(name: &str) -> Option<AggFunc> {
     }
 }
 
-fn parse_item(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<(ProjectItem, Option<String>)> {
+fn parse_item(cur: &mut Cursor, builder: &PlanBuilder) -> Result<(ProjectItem, Option<String>)> {
     // aggregate?
     if let Token::Ident(name) = cur.peek() {
         if let Some(f) = agg_func(name) {
@@ -495,7 +465,7 @@ fn parse_item(
                 let inner = if cur.eat(&Token::Star) {
                     Expr::Const(Value::Int(1))
                 } else {
-                    parse_expr(cur, builder, params)?
+                    parse_expr(cur, builder)?
                 };
                 cur.expect(&Token::RParen)?;
                 return Ok((ProjectItem::Agg(f, inner), None));
@@ -507,63 +477,43 @@ fn parse_item(
         (Token::Ident(a), t) if t != &Token::LParen && t != &Token::Dot => Some(a.clone()),
         _ => None,
     };
-    let e = parse_expr(cur, builder, params)?;
+    let e = parse_expr(cur, builder)?;
     Ok((ProjectItem::Expr(e), default))
 }
 
 /// Pratt-style expression parser bound against the builder's layout.
-pub(crate) fn parse_expr(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    parse_or(cur, builder, params)
+pub(crate) fn parse_expr(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    parse_or(cur, builder)
 }
 
-fn parse_or(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    let mut lhs = parse_and(cur, builder, params)?;
+fn parse_or(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    let mut lhs = parse_and(cur, builder)?;
     while cur.eat_kw("OR") {
-        let rhs = parse_and(cur, builder, params)?;
+        let rhs = parse_and(cur, builder)?;
         lhs = Expr::bin(BinOp::Or, lhs, rhs);
     }
     Ok(lhs)
 }
 
-fn parse_and(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    let mut lhs = parse_not(cur, builder, params)?;
+fn parse_and(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    let mut lhs = parse_not(cur, builder)?;
     while cur.eat_kw("AND") {
-        let rhs = parse_not(cur, builder, params)?;
+        let rhs = parse_not(cur, builder)?;
         lhs = Expr::bin(BinOp::And, lhs, rhs);
     }
     Ok(lhs)
 }
 
-fn parse_not(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
+fn parse_not(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
     if cur.eat_kw("NOT") {
-        Ok(Expr::Not(Box::new(parse_not(cur, builder, params)?)))
+        Ok(Expr::Not(Box::new(parse_not(cur, builder)?)))
     } else {
-        parse_cmp(cur, builder, params)
+        parse_cmp(cur, builder)
     }
 }
 
-fn parse_cmp(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    let lhs = parse_add(cur, builder, params)?;
+fn parse_cmp(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    let lhs = parse_add(cur, builder)?;
     let op = match cur.peek() {
         Token::Eq => BinOp::Eq,
         Token::Ne => BinOp::Ne,
@@ -573,28 +523,26 @@ fn parse_cmp(
         Token::Ge => BinOp::Ge,
         Token::Ident(s) if s.eq_ignore_ascii_case("IN") => {
             cur.next();
-            let list = match parse_literal(cur, params)? {
-                Value::List(l) => l,
-                single => vec![single],
+            // a scalar is a one-element list
+            let list = match parse_value(cur)? {
+                Expr::Const(v @ Value::List(_)) => Expr::Const(v),
+                Expr::Const(single) => Expr::Const(Value::List(vec![single])),
+                slot => slot,
             };
             return Ok(Expr::In {
                 expr: Box::new(lhs),
-                list,
+                list: Box::new(list),
             });
         }
         _ => return Ok(lhs),
     };
     cur.next();
-    let rhs = parse_add(cur, builder, params)?;
+    let rhs = parse_add(cur, builder)?;
     Ok(Expr::bin(op, lhs, rhs))
 }
 
-fn parse_add(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    let mut lhs = parse_mul(cur, builder, params)?;
+fn parse_add(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    let mut lhs = parse_mul(cur, builder)?;
     loop {
         let op = match cur.peek() {
             Token::Plus => BinOp::Add,
@@ -602,18 +550,14 @@ fn parse_add(
             _ => break,
         };
         cur.next();
-        let rhs = parse_mul(cur, builder, params)?;
+        let rhs = parse_mul(cur, builder)?;
         lhs = Expr::bin(op, lhs, rhs);
     }
     Ok(lhs)
 }
 
-fn parse_mul(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
-    let mut lhs = parse_atom(cur, builder, params)?;
+fn parse_mul(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
+    let mut lhs = parse_atom(cur, builder)?;
     loop {
         let op = match cur.peek() {
             Token::Star => BinOp::Mul,
@@ -621,21 +565,17 @@ fn parse_mul(
             _ => break,
         };
         cur.next();
-        let rhs = parse_atom(cur, builder, params)?;
+        let rhs = parse_atom(cur, builder)?;
         lhs = Expr::bin(op, lhs, rhs);
     }
     Ok(lhs)
 }
 
-fn parse_atom(
-    cur: &mut Cursor,
-    builder: &PlanBuilder,
-    params: &HashMap<String, Value>,
-) -> Result<Expr> {
+fn parse_atom(cur: &mut Cursor, builder: &PlanBuilder) -> Result<Expr> {
     match cur.peek().clone() {
         Token::LParen => {
             cur.next();
-            let e = parse_expr(cur, builder, params)?;
+            let e = parse_expr(cur, builder)?;
             cur.expect(&Token::RParen)?;
             Ok(e)
         }
@@ -657,17 +597,11 @@ fn parse_atom(
             if cur.eat(&Token::Dot) {
                 let prop = cur.ident()?;
                 builder.prop(&name, &prop)
-            } else if name.eq_ignore_ascii_case("true") {
-                Ok(Expr::Const(Value::Bool(true)))
-            } else if name.eq_ignore_ascii_case("false") {
-                Ok(Expr::Const(Value::Bool(false)))
-            } else if name.eq_ignore_ascii_case("null") {
-                Ok(Expr::Const(Value::Null))
             } else {
                 builder.col(&name)
             }
         }
-        _ => Ok(Expr::Const(parse_literal(cur, params)?)),
+        _ => parse_value(cur),
     }
 }
 

@@ -8,6 +8,15 @@
 //! hands back a [`CompiledQuery`] carrying the verified logical and
 //! physical plans plus a deterministic cache key, so a serving layer can
 //! do this work once per statement and execute many times.
+//!
+//! Two paths share that pipeline. The *literal path*
+//! ([`Frontend::compile_with`]) compiles one statement with its values
+//! inline. The *template path* ([`Frontend::compile_template`]) compiles
+//! the statement's template: each Cypher value literal (number, string,
+//! `true`/`false`/`null`, list) and each `$name` becomes a typed
+//! parameter slot, so one plan serves every statement with the same
+//! template key (see [`crate::template`]). Gremlin has no slots: its key
+//! is per text.
 
 use std::collections::HashMap;
 
@@ -18,14 +27,15 @@ use gs_ir::physical::PhysicalPlan;
 use gs_ir::verify_physical;
 use gs_optimizer::Optimizer;
 
-use crate::cypher::parse_cypher;
+use crate::cypher::{parse_cypher, parse_cypher_template};
 use crate::gremlin::parse_gremlin;
+use crate::template::{statement_key, StatementKey};
 
 /// Which query language front-end compiles the source text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Frontend {
     /// Declarative pattern syntax (`MATCH ... RETURN`), with `$name`
-    /// parameter substitution.
+    /// parameters.
     Cypher,
     /// Imperative traversal syntax (`g.V().hasLabel(...)...`).
     Gremlin,
@@ -46,7 +56,9 @@ impl Frontend {
         self.compile_with(source, schema, &HashMap::new(), &Optimizer::rbo_only())
     }
 
-    /// The full pipeline: parse → lower → optimize → verify, exactly once.
+    /// The full pipeline: parse → lower → optimize → verify, exactly once,
+    /// with every value inline (Cypher's `$name` reads `params`): the
+    /// plans hold no parameter slot.
     ///
     /// The front-end parser verifies the logical plan at its boundary
     /// (through its naive lowering); the optimizer, which only runs its
@@ -55,10 +67,6 @@ impl Frontend {
     /// a [`CompiledQuery`] is *known-good* — executors may skip submit-time
     /// verification for plans that came through this surface (that is what
     /// the prepared-statement path does).
-    ///
-    /// `params` feeds Cypher's `$name` substitution; Gremlin has no
-    /// parameter syntax, but the parameters still contribute to the cache
-    /// key so distinct bindings never alias.
     pub fn compile_with(
         &self,
         source: &str,
@@ -70,12 +78,42 @@ impl Frontend {
             Frontend::Cypher => parse_cypher(source, schema, params)?,
             Frontend::Gremlin => parse_gremlin(source, schema)?,
         };
+        self.finish(source, schema, params, optimizer, logical)
+    }
+
+    /// The same pipeline over the statement's template: every Cypher
+    /// value literal and `$name` is a parameter slot typed by its value
+    /// (`params` type the `$name` slots), so the plans serve every
+    /// statement with this one's [`StatementKey::template`]. Bind them
+    /// with [`crate::bind_values`] before execution.
+    pub fn compile_template(
+        &self,
+        source: &str,
+        schema: &GraphSchema,
+        params: &HashMap<String, Value>,
+        optimizer: &Optimizer,
+    ) -> Result<CompiledQuery> {
+        let logical = match self {
+            Frontend::Cypher => parse_cypher_template(source, schema, params)?,
+            Frontend::Gremlin => parse_gremlin(source, schema)?,
+        };
+        self.finish(source, schema, params, optimizer, logical)
+    }
+
+    fn finish(
+        &self,
+        source: &str,
+        schema: &GraphSchema,
+        params: &HashMap<String, Value>,
+        optimizer: &Optimizer,
+        logical: LogicalPlan,
+    ) -> Result<CompiledQuery> {
         let physical = optimizer.optimize(&logical)?;
         verify_physical(&physical, schema).check(self.name())?;
         Ok(CompiledQuery {
             frontend: *self,
             source: source.to_string(),
-            cache_key: statement_key(*self, source, params),
+            key: statement_key(*self, source, params),
             logical,
             physical,
         })
@@ -95,36 +133,11 @@ pub struct CompiledQuery {
     pub logical: LogicalPlan,
     /// The verified physical plan, ready for any [`gs_ir::QueryEngine`].
     pub physical: PhysicalPlan,
-    /// Deterministic key over (frontend, source, parameter bindings). A
-    /// plan cache must combine this with the *schema epoch* — the plans
-    /// were verified against one schema and must not outlive it.
-    pub cache_key: u64,
-}
-
-/// FNV-1a over (frontend, source, sorted parameter bindings): stable
-/// across runs and platforms, so cache keys are reproducible in
-/// deterministic benchmarks.
-pub fn statement_key(frontend: Frontend, source: &str, params: &HashMap<String, Value>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
-    };
-    eat(frontend.name().as_bytes());
-    eat(source.as_bytes());
-    let mut keys: Vec<&String> = params.keys().collect();
-    keys.sort();
-    for k in keys {
-        eat(k.as_bytes());
-        eat(params[k].to_string().as_bytes());
-    }
-    h
+    /// The statement's template key and binds digest. A plan cache keys
+    /// template plans by the template key and must combine it with the
+    /// *schema epoch* — the plans were verified against one schema and
+    /// must not outlive it.
+    pub key: StatementKey,
 }
 
 #[cfg(test)]
@@ -151,28 +164,45 @@ mod tests {
         assert_eq!(c.frontend.name(), "cypher");
         assert!(!c.physical.ops.is_empty());
         assert!(!g.physical.ops.is_empty());
-        assert_ne!(c.cache_key, g.cache_key);
+        assert_ne!(c.key, g.key);
     }
 
     #[test]
     fn cache_key_is_deterministic_and_param_sensitive() {
         let s = schema();
-        let mut p1 = HashMap::new();
-        p1.insert("id".to_string(), Value::Int(1));
-        let mut p2 = HashMap::new();
-        p2.insert("id".to_string(), Value::Int(2));
+        let compile = |q: &str, id: Value| {
+            let params = HashMap::from([("id".to_string(), id)]);
+            Frontend::Cypher
+                .compile_with(q, &s, &params, &Optimizer::rbo_only())
+                .unwrap()
+                .key
+        };
         let q = "MATCH (a:V {x: $id}) RETURN a";
-        let a = Frontend::Cypher
-            .compile_with(q, &s, &p1, &Optimizer::rbo_only())
-            .unwrap();
-        let b = Frontend::Cypher
-            .compile_with(q, &s, &p1, &Optimizer::rbo_only())
-            .unwrap();
-        let c = Frontend::Cypher
-            .compile_with(q, &s, &p2, &Optimizer::rbo_only())
-            .unwrap();
-        assert_eq!(a.cache_key, b.cache_key);
-        assert_ne!(a.cache_key, c.cache_key);
+        let a = compile(q, Value::Int(1));
+        assert_eq!(a, compile(q, Value::Int(1)), "deterministic");
+        // another value of the same type: same template, other binds
+        let b = compile(q, Value::Int(2));
+        assert_eq!(a.template, b.template);
+        assert_ne!(a.binds, b.binds);
+        // the same text bound to another type is another template
+        for other in [
+            Value::Str("1".into()),
+            Value::Float(1.0),
+            Value::Null,
+            Value::List(vec![Value::Int(1)]),
+        ] {
+            assert_ne!(a.template, compile(q, other).template);
+        }
+        // inline literals key like `$name`: per value, per type
+        let inline = |q: &str| statement_key(Frontend::Cypher, q, &HashMap::new());
+        let one = inline("MATCH (a:V {x: 1}) RETURN a");
+        let two = inline("MATCH (a:V {x: 2}) RETURN a");
+        assert_eq!(one.template, two.template);
+        assert_ne!(one.binds, two.binds);
+        for other in ["'1'", "1.0", "null", "[1]", "true"] {
+            let k = inline(&format!("MATCH (a:V {{x: {other}}}) RETURN a"));
+            assert_ne!(one.template, k.template, "{other}");
+        }
     }
 
     #[test]

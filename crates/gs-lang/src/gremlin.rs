@@ -134,7 +134,7 @@ impl Traversal {
                 let pred = match op {
                     GremlinOp::Within(list) => Expr::In {
                         expr: Box::new(lhs),
-                        list,
+                        list: Box::new(Expr::Const(Value::List(list))),
                     },
                     GremlinOp::Cmp(op) => Expr::bin(op, lhs, Expr::Const(value)),
                 };

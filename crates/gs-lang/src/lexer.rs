@@ -1,6 +1,11 @@
 //! Shared tokenizer for the Gremlin and Cypher front-ends.
+//!
+//! `lex` finds one lexeme's kind and byte extent without allocating;
+//! [`tokenize`] and the statement-key pass (`crate::template`) both walk
+//! text with it, so they split every text identically.
 
-use gs_graph::{GraphError, Result};
+use gs_graph::{GraphError, Result, Value};
+use gs_ir::Slot;
 
 /// One token.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,6 +21,10 @@ pub enum Token {
     Str(String),
     /// A `$name` parameter reference.
     Param(String),
+    /// A Cypher value literal, bound to its value (the literal path).
+    Value(Value),
+    /// A Cypher value literal, as a statement template's parameter slot.
+    Slot(Slot),
     // punctuation
     LParen,
     RParen,
@@ -46,200 +55,240 @@ pub enum Token {
     Eof,
 }
 
-/// Tokenizes an input string. `//`-comments and `/* */` are stripped.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let mut out = Vec::new();
-    let b: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '/' if b.get(i + 1) == Some(&'/') => {
-                while i < b.len() && b[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '/' if b.get(i + 1) == Some(&'*') => {
-                i += 2;
-                while i + 1 < b.len() && !(b[i] == '*' && b[i + 1] == '/') {
-                    i += 1;
-                }
-                i = (i + 2).min(b.len());
-            }
-            '(' => {
-                out.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
-            }
-            '[' => {
-                out.push(Token::LBracket);
-                i += 1;
-            }
-            ']' => {
-                out.push(Token::RBracket);
-                i += 1;
-            }
-            '{' => {
-                out.push(Token::LBrace);
-                i += 1;
-            }
-            '}' => {
-                out.push(Token::RBrace);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            ':' => {
-                out.push(Token::Colon);
-                i += 1;
-            }
-            ';' => {
-                out.push(Token::Semicolon);
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Plus);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Slash);
-                i += 1;
-            }
-            '-' => {
-                if b.get(i + 1) == Some(&'>') {
-                    out.push(Token::ArrowRight);
-                    i += 2;
+/// What [`lex`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lexeme {
+    /// Whitespace or a `//` / `/* */` comment.
+    Trivia,
+    Ident,
+    Int,
+    Float,
+    /// A quoted string, quotes included.
+    Str,
+    /// `$name`, the `$` included.
+    Param,
+    /// Punctuation, one or two bytes (see [`punct`]).
+    Punct,
+    /// Text no token starts with: an unexpected character, a `$` with no
+    /// name, or a string that never closes.
+    Bad,
+}
+
+pub(crate) fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Byte offset just past the identifier characters starting at `i`.
+#[inline(always)]
+fn ident_end(src: &str, i: usize) -> usize {
+    let b = src.as_bytes();
+    let mut j = i;
+    while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
+        j += 1;
+    }
+    if j < b.len() && !b[j].is_ascii() {
+        return src[j..]
+            .char_indices()
+            .find(|&(_, c)| !is_ident_char(c))
+            .map_or(src.len(), |(k, _)| j + k);
+    }
+    j
+}
+
+/// The lexeme starting at byte `i` (a char boundary before the end of
+/// `src`) and the byte offset just past it. Inlined: the statement-key
+/// pass runs it on every request.
+#[inline(always)]
+pub(crate) fn lex(src: &str, i: usize) -> (Lexeme, usize) {
+    let b = src.as_bytes();
+    let at = |k: usize| b.get(k).copied();
+    let punct = |n: usize| (Lexeme::Punct, i + n);
+    match b[i] {
+        b'/' if at(i + 1) == Some(b'/') => {
+            let end = src[i..].find('\n').map_or(src.len(), |k| i + k);
+            (Lexeme::Trivia, end)
+        }
+        b'/' if at(i + 1) == Some(b'*') => {
+            let end = src[i + 2..].find("*/").map_or(src.len(), |k| i + 2 + k + 2);
+            (Lexeme::Trivia, end)
+        }
+        b'(' => punct(1),
+        b')' => punct(1),
+        b'[' => punct(1),
+        b']' => punct(1),
+        b'{' => punct(1),
+        b'}' => punct(1),
+        b',' => punct(1),
+        b'.' => punct(1),
+        b':' => punct(1),
+        b';' => punct(1),
+        b'+' => punct(1),
+        b'*' => punct(1),
+        b'/' => punct(1),
+        b'-' if at(i + 1) == Some(b'>') => punct(2),
+        b'-' => punct(1),
+        b'<' => match at(i + 1) {
+            Some(b'=') => punct(2),
+            Some(b'>') => punct(2),
+            Some(b'-') => punct(2),
+            _ => punct(1),
+        },
+        b'>' if at(i + 1) == Some(b'=') => punct(2),
+        b'>' => punct(1),
+        // tolerate `==`
+        b'=' if at(i + 1) == Some(b'=') => punct(2),
+        b'=' => punct(1),
+        b'!' if at(i + 1) == Some(b'=') => punct(2),
+        b'$' => match ident_end(src, i + 1) {
+            end if end == i + 1 => (Lexeme::Bad, end),
+            end => (Lexeme::Param, end),
+        },
+        quote @ (b'\'' | b'"') => {
+            let mut j = i + 1;
+            while j < b.len() && b[j] != quote {
+                // an escape takes the next byte whatever it is; bytes of a
+                // multi-byte char are never a quote
+                j += if b[j] == b'\\' && j + 1 < b.len() {
+                    2
                 } else {
-                    out.push(Token::Minus);
-                    i += 1;
-                }
+                    1
+                };
             }
-            '<' => match b.get(i + 1) {
-                Some('=') => {
-                    out.push(Token::Le);
-                    i += 2;
-                }
-                Some('>') => {
-                    out.push(Token::Ne);
-                    i += 2;
-                }
-                Some('-') => {
-                    out.push(Token::ArrowLeft);
-                    i += 2;
-                }
-                _ => {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
-            },
-            '>' => {
-                if b.get(i + 1) == Some(&'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
+            if j >= b.len() {
+                (Lexeme::Bad, b.len())
+            } else {
+                (Lexeme::Str, j + 1)
             }
-            '=' => {
-                if b.get(i + 1) == Some(&'=') {
-                    // tolerate `==`
-                    out.push(Token::Eq);
-                    i += 2;
-                } else {
-                    out.push(Token::Eq);
-                    i += 1;
+        }
+        b' ' | b'\t' | b'\n' | b'\r' => {
+            let end = b[i..]
+                .iter()
+                .position(|&c| !matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
+                .map_or(b.len(), |k| i + k);
+            (Lexeme::Trivia, end)
+        }
+        b'a'..=b'z' | b'A'..=b'Z' | b'_' => (Lexeme::Ident, ident_end(src, i)),
+        b'0'..=b'9' => {
+            let mut j = i;
+            let mut float = false;
+            while let Some(c) = at(j) {
+                // a `.` only belongs to the number if a digit follows
+                if c == b'.' && !float && at(j + 1).is_some_and(|d| d.is_ascii_digit()) {
+                    float = true;
+                } else if !(c.is_ascii_digit() || c == b'_') {
+                    break;
                 }
+                j += 1;
             }
-            '!' if b.get(i + 1) == Some(&'=') => {
-                out.push(Token::Ne);
-                i += 2;
+            (if float { Lexeme::Float } else { Lexeme::Int }, j)
+        }
+        _ => {
+            let c = src[i..].chars().next().expect("i is before the end");
+            if c.is_whitespace() {
+                let end = src[i..]
+                    .char_indices()
+                    .find(|&(_, c)| !c.is_whitespace())
+                    .map_or(src.len(), |(k, _)| i + k);
+                (Lexeme::Trivia, end)
+            } else if c.is_alphabetic() || c == '_' {
+                (Lexeme::Ident, ident_end(src, i))
+            } else {
+                (Lexeme::Bad, i + c.len_utf8())
             }
-            '$' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
-                    j += 1;
-                }
-                if j == start {
-                    return Err(GraphError::Query("empty parameter name".into()));
-                }
-                out.push(Token::Param(b[start..j].iter().collect()));
-                i = j;
-            }
-            '\'' | '"' => {
-                let quote = c;
-                let mut j = i + 1;
-                let mut s = String::new();
-                while j < b.len() && b[j] != quote {
-                    if b[j] == '\\' && j + 1 < b.len() {
-                        s.push(b[j + 1]);
-                        j += 2;
-                    } else {
-                        s.push(b[j]);
-                        j += 1;
-                    }
-                }
-                if j >= b.len() {
-                    return Err(GraphError::Query("unterminated string literal".into()));
-                }
-                out.push(Token::Str(s));
-                i = j + 1;
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                let mut j = i;
-                let mut is_float = false;
-                while j < b.len() && (b[j].is_ascii_digit() || b[j] == '.' || b[j] == '_') {
-                    // a `.` only belongs to the number if a digit follows
-                    if b[j] == '.' {
-                        if j + 1 < b.len() && b[j + 1].is_ascii_digit() && !is_float {
-                            is_float = true;
-                        } else {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                let text: String = b[start..j].iter().filter(|&&c| c != '_').collect();
-                if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| {
-                        GraphError::Query(format!("bad float literal {text}"))
-                    })?));
-                } else {
-                    out.push(Token::Int(text.parse().map_err(|_| {
-                        GraphError::Query(format!("bad int literal {text}"))
-                    })?));
-                }
-                i = j;
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < b.len() && (b[j].is_alphanumeric() || b[j] == '_') {
-                    j += 1;
-                }
-                out.push(Token::Ident(b[start..j].iter().collect()));
-                i = j;
-            }
-            other => return Err(GraphError::Query(format!("unexpected character `{other}`"))),
         }
     }
-    out.push(Token::Eof);
+}
+
+/// The token of a punctuation lexeme's text.
+fn punct(text: &str) -> Token {
+    match text {
+        "(" => Token::LParen,
+        ")" => Token::RParen,
+        "[" => Token::LBracket,
+        "]" => Token::RBracket,
+        "{" => Token::LBrace,
+        "}" => Token::RBrace,
+        "," => Token::Comma,
+        "." => Token::Dot,
+        ":" => Token::Colon,
+        ";" => Token::Semicolon,
+        "+" => Token::Plus,
+        "-" => Token::Minus,
+        "*" => Token::Star,
+        "/" => Token::Slash,
+        "<" => Token::Lt,
+        "<=" => Token::Le,
+        ">" => Token::Gt,
+        ">=" => Token::Ge,
+        "=" | "==" => Token::Eq,
+        "<>" | "!=" => Token::Ne,
+        "->" => Token::ArrowRight,
+        "<-" => Token::ArrowLeft,
+        other => unreachable!("`lex` yields no punctuation `{other}`"),
+    }
+}
+
+/// Tokenizes an input string. `//`-comments and `/* */` are stripped.
+pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    Ok(spanned_tokens(input)?.into_iter().map(|(t, _)| t).collect())
+}
+
+/// Tokenizes an input string, pairing each token with its starting byte
+/// offset (the input's length for the final [`Token::Eof`]).
+pub(crate) fn spanned_tokens(input: &str) -> Result<Vec<(Token, usize)>> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < input.len() {
+        let (lexeme, end) = lex(input, i);
+        let text = &input[i..end];
+        let token =
+            match lexeme {
+                Lexeme::Trivia => {
+                    i = end;
+                    continue;
+                }
+                Lexeme::Ident => Token::Ident(text.to_string()),
+                Lexeme::Int | Lexeme::Float => {
+                    let digits: String = text.chars().filter(|&c| c != '_').collect();
+                    if lexeme == Lexeme::Float {
+                        Token::Float(digits.parse().map_err(|_| {
+                            GraphError::Query(format!("bad float literal {digits}"))
+                        })?)
+                    } else {
+                        Token::Int(
+                            digits.parse().map_err(|_| {
+                                GraphError::Query(format!("bad int literal {digits}"))
+                            })?,
+                        )
+                    }
+                }
+                Lexeme::Str => {
+                    let mut s = String::new();
+                    let mut chars = text[1..text.len() - 1].chars();
+                    while let Some(c) = chars.next() {
+                        s.push(if c == '\\' {
+                            chars.next().unwrap_or(c)
+                        } else {
+                            c
+                        });
+                    }
+                    Token::Str(s)
+                }
+                Lexeme::Param => Token::Param(text[1..].to_string()),
+                Lexeme::Punct => punct(text),
+                Lexeme::Bad => {
+                    let why = match text.as_bytes()[0] {
+                        b'$' => "empty parameter name",
+                        b'\'' | b'"' => "unterminated string literal",
+                        _ => "unexpected character",
+                    };
+                    return Err(GraphError::Query(format!("{why} `{text}`")));
+                }
+            };
+        out.push((token, i));
+        i = end;
+    }
+    out.push((Token::Eof, input.len()));
     Ok(out)
 }
 

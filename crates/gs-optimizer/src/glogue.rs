@@ -187,9 +187,10 @@ impl GlogueCatalog {
                 BinOp::Ne => 0.9,
                 _ => 0.5,
             },
-            Expr::In { list, .. } => {
-                (list.len() as f64 / self.label_count(label).max(1.0)).min(1.0)
-            }
+            Expr::In { list, .. } => match list.list_len() {
+                Some(len) => (len as f64 / self.label_count(label).max(1.0)).min(1.0),
+                None => 0.5,
+            },
             _ => 0.5,
         }
     }

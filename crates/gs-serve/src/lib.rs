@@ -8,14 +8,21 @@
 //!   [`Priority`] class; they are cheap handles sharing one engine.
 //! * **Prepared statements** ([`Session::prepare`] /
 //!   [`Session::execute`]): parse → lower → optimize → irlint-verify runs
-//!   **once** per statement (through `gs_lang::Frontend::compile`), the
-//!   engine-side handle (`gs_ir::PreparedQuery`) executes many times.
-//!   Compiled plans live in a bounded LRU **plan cache** keyed by
-//!   (statement key, schema epoch), so equal statements across sessions
-//!   share one compilation.
-//! * **Result cache**: row batches are cached under (statement key, data
-//!   version). GART commits bump the version; stale entries silently stop
-//!   matching — *the* invalidation rule, there is no explicit purge.
+//!   **once** per statement *template* (through
+//!   `gs_lang::Frontend::compile_template`), the engine-side handle
+//!   (`gs_ir::PreparedQuery`) executes many times. A Cypher statement's
+//!   value literals — numbers, strings, `true`/`false`/`null`, list
+//!   literals — and its `$name` references are typed parameter slots, so
+//!   statements that differ only in those values share one plan; `LIMIT n`,
+//!   comments, identifiers and property names are template text. Gremlin
+//!   has no slots: its template is its text. Compiled plans live in a
+//!   bounded LRU **plan cache** keyed by (template key, schema epoch).
+//! * **Result cache**: row batches are cached under (template key, binds
+//!   digest, data version) — see `gs_lang::statement_key`. A statement's
+//!   values become `Value`s only on a miss, and are bound into the plan
+//!   before the engine runs it. GART commits bump the version; stale
+//!   entries silently stop matching — *the* invalidation rule, there is no
+//!   explicit purge. A hit costs one pass over the text and two lookups.
 //! * **Admission control** ([`admission`]): per-tenant quotas and a
 //!   priority shed ladder over the PR 5 circuit breaker — under overload
 //!   the service sheds (`Overloaded`) instead of collapsing.
@@ -49,7 +56,7 @@ use gs_graph::{GraphError, Result, Value};
 use gs_grin::GrinGraph;
 use gs_ir::cost::{cost_physical, CostReport, CostStats};
 use gs_ir::{PreparedQuery, QueryEngine, Record};
-use gs_lang::{CompiledQuery, Frontend};
+use gs_lang::{bind_values, statement_key, Frontend, StatementKey};
 use gs_optimizer::Optimizer;
 use gs_telemetry::{counter, observe};
 use std::collections::HashMap;
@@ -125,9 +132,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// One compiled + engine-prepared statement, shared across sessions.
+/// One compiled + engine-prepared statement template, shared across
+/// sessions and across every statement with its template key.
 struct PlanEntry {
-    compiled: CompiledQuery,
     prepared: Box<dyn PreparedQuery>,
     /// Static cost bounds of the physical plan, computed once at
     /// compile time with the optimizer's statistics (conservative
@@ -164,8 +171,10 @@ pub struct Server {
     store: Box<dyn ServeStore>,
     optimizer: Optimizer,
     config: ServeConfig,
+    /// Keyed by (template key, schema epoch).
     plans: LruCache<(u64, u64), Arc<PlanEntry>>,
-    results: LruCache<(u64, u64), Arc<Vec<Record>>>,
+    /// Keyed by (template key, binds digest, data version).
+    results: LruCache<(u64, u64, u64), Arc<Vec<Record>>>,
     admission: AdmissionController,
     /// Statistics for static plan costing, snapshotted from the
     /// optimizer's catalog at construction.
@@ -264,26 +273,26 @@ impl Server {
     }
 
     /// Compile-or-fetch: the verify-once half of the prepare/execute
-    /// split. Keyed by (statement key, schema epoch) — a schema change
+    /// split. Keyed by (template key, schema epoch) — statements that
+    /// differ only in their values share one plan, and a schema change
     /// orphans every cached plan.
     fn plan_entry(
         &self,
         frontend: Frontend,
         text: &str,
         params: &HashMap<String, Value>,
+        key: StatementKey,
     ) -> Result<Arc<PlanEntry>> {
-        let key = (
-            gs_lang::statement_key(frontend, text, params),
-            self.store.schema_epoch(),
-        );
+        let pkey = (key.template, self.store.schema_epoch());
         if self.config.cache_plans {
-            if let Some(entry) = self.plans.get(&key) {
+            if let Some(entry) = self.plans.get(&pkey) {
                 counter!("serve.plan_cache.hit");
                 return Ok(entry);
             }
             counter!("serve.plan_cache.miss");
         }
-        let compiled = frontend.compile_with(text, self.store.schema(), params, &self.optimizer)?;
+        let compiled =
+            frontend.compile_template(text, self.store.schema(), params, &self.optimizer)?;
         let prepared = self.engine.prepare(&compiled.physical)?;
         let budget = self
             .config
@@ -292,24 +301,23 @@ impl Server {
             .map(|g| g.budget)
             .unwrap_or_default();
         let cost = cost_physical(&compiled.physical, self.cost_stats.as_ref(), &budget);
-        let entry = Arc::new(PlanEntry {
-            compiled,
-            prepared,
-            cost,
-        });
+        let entry = Arc::new(PlanEntry { prepared, cost });
         if self.config.cache_plans {
-            self.plans.insert(key, Arc::clone(&entry));
+            self.plans.insert(pkey, Arc::clone(&entry));
         }
         Ok(entry)
     }
 
     /// The execute-many half: cost gate, admission ladder, result cache,
-    /// engine.
-    fn run_entry(
+    /// engine. The statement's values (`binds`) are computed only on a
+    /// result-cache miss, and bound into the plan before it runs.
+    fn run_entry<B: AsRef<[Value]>>(
         &self,
         tenant: &str,
         priority: Priority,
         entry: &PlanEntry,
+        key: StatementKey,
+        binds: impl FnOnce() -> Result<B>,
     ) -> Result<Arc<Vec<Record>>> {
         // static-cost rung: decided from the plan's compile-time bounds,
         // before the dynamic ladder — a shed statement never executes
@@ -336,11 +344,10 @@ impl Server {
             }
         }
         let guard = self.admission.admit(tenant, priority, Instant::now())?;
-        // snapshot + its pinned version, atomically: results are cached
-        // under exactly the version they were computed at
-        let (snapshot, version) = self.store.snapshot();
-        let rkey = (entry.compiled.cache_key, version);
+        // a hit needs no snapshot: rows cached under a version are that
+        // version's rows
         if self.config.cache_results {
+            let rkey = (key.template, key.binds, self.store.data_version());
             if let Some(rows) = self.results.get(&rkey) {
                 counter!("serve.result_cache.hit");
                 drop(guard);
@@ -348,8 +355,13 @@ impl Server {
             }
             counter!("serve.result_cache.miss");
         }
+        // snapshot + its pinned version, atomically: results are cached
+        // under exactly the version they were computed at
+        let (snapshot, version) = self.store.snapshot();
         let started = Instant::now();
-        let outcome = execute_degrading(entry.prepared.as_ref(), snapshot.as_ref());
+        let outcome = binds().and_then(|binds| {
+            execute_degrading(entry.prepared.as_ref(), snapshot.as_ref(), binds.as_ref())
+        });
         self.admission
             .record_result(outcome.is_ok(), Instant::now());
         drop(guard);
@@ -359,6 +371,7 @@ impl Server {
                 observe!("serve.exec_ns", cache = "miss"; started.elapsed().as_nanos() as u64);
                 let rows = Arc::new(rows);
                 if self.config.cache_results {
+                    let rkey = (key.template, key.binds, version);
                     self.results.insert(rkey, Arc::clone(&rows));
                 }
                 Ok(rows)
@@ -377,8 +390,14 @@ impl Server {
 /// structured [`GraphError::Unavailable`], so the request degrades instead
 /// of taking the serving thread down; any other panic is a real bug and is
 /// re-raised.
-fn execute_degrading(prepared: &dyn PreparedQuery, graph: &dyn GrinGraph) -> Result<Vec<Record>> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.execute(graph))) {
+fn execute_degrading(
+    prepared: &dyn PreparedQuery,
+    graph: &dyn GrinGraph,
+    binds: &[Value],
+) -> Result<Vec<Record>> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        prepared.execute_with(graph, binds)
+    })) {
         Ok(outcome) => outcome,
         Err(payload) => match payload.downcast_ref::<gs_chaos::ChaosUnwind>() {
             Some(fault) => Err(GraphError::Unavailable(format!(
@@ -394,51 +413,69 @@ fn execute_degrading(prepared: &dyn PreparedQuery, graph: &dyn GrinGraph) -> Res
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StatementId(usize);
 
+/// A statement prepared on a [`Session`]: its template's plan and its own
+/// values.
+#[derive(Clone)]
+struct Statement {
+    entry: Arc<PlanEntry>,
+    key: StatementKey,
+    binds: Arc<[Value]>,
+}
+
 /// A tenant-scoped handle onto a shared [`Server`].
 pub struct Session {
     server: Arc<Server>,
     tenant: String,
     priority: Priority,
-    statements: gs_sanitizer::TrackedMutex<Vec<Arc<PlanEntry>>>,
+    statements: gs_sanitizer::TrackedMutex<Vec<Statement>>,
 }
 
 impl Session {
-    /// Compiles (or fetches from the plan cache) a statement and pins it
-    /// to this session. The heavy work happens here, once.
+    /// Compiles (or fetches from the plan cache) a statement's template
+    /// and pins it, with the statement's values, to this session. The
+    /// heavy work happens here, once.
     pub fn prepare(
         &self,
         frontend: Frontend,
         text: &str,
         params: &HashMap<String, Value>,
     ) -> Result<StatementId> {
-        let entry = self.server.plan_entry(frontend, text, params)?;
+        let key = statement_key(frontend, text, params);
+        let entry = self.server.plan_entry(frontend, text, params, key)?;
+        let binds = bind_values(frontend, text, params)?.into();
         let mut stmts = self.statements.lock();
-        stmts.push(entry);
+        stmts.push(Statement { entry, key, binds });
         Ok(StatementId(stmts.len() - 1))
     }
 
     /// Executes a prepared statement against the store's current version.
     pub fn execute(&self, stmt: StatementId) -> Result<Arc<Vec<Record>>> {
-        let entry = {
+        let Statement { entry, key, binds } = {
             let stmts = self.statements.lock();
             stmts
                 .get(stmt.0)
                 .cloned()
                 .ok_or_else(|| GraphError::Query(format!("unknown statement id {}", stmt.0)))?
         };
-        self.server.run_entry(&self.tenant, self.priority, &entry)
+        self.server
+            .run_entry(&self.tenant, self.priority, &entry, key, || Ok(binds))
     }
 
     /// One-shot convenience: prepare (with caching) + execute, without
-    /// pinning the statement to the session.
+    /// pinning the statement to the session. A plan-cache and
+    /// result-cache hit costs one pass over `text` and two lookups.
     pub fn query(
         &self,
         frontend: Frontend,
         text: &str,
         params: &HashMap<String, Value>,
     ) -> Result<Arc<Vec<Record>>> {
-        let entry = self.server.plan_entry(frontend, text, params)?;
-        self.server.run_entry(&self.tenant, self.priority, &entry)
+        let key = statement_key(frontend, text, params);
+        let entry = self.server.plan_entry(frontend, text, params, key)?;
+        self.server
+            .run_entry(&self.tenant, self.priority, &entry, key, || {
+                bind_values(frontend, text, params)
+            })
     }
 
     /// The tenant this session authenticates as.

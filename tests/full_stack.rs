@@ -78,7 +78,7 @@ fn figure5_gremlin_cypher_equivalence() {
                   RETURN c.price AS price";
     let cg = Frontend::Gremlin.compile(gremlin, &schema).unwrap();
     let cc = Frontend::Cypher.compile(cypher, &schema).unwrap();
-    assert_ne!(cg.cache_key, cc.cache_key, "statement keys must not alias");
+    assert_ne!(cg.key, cc.key, "statement keys must not alias");
     let engine: &dyn QueryEngine = &ReferenceEngine::default();
     let rg = engine
         .prepare(&cg.physical)

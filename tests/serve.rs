@@ -2,9 +2,10 @@
 //!
 //! Three families of guarantees:
 //! * the prepare/execute split pays off: equal statements hit the plan
-//!   cache across sessions, and result caching is exactly as fresh as the
-//!   store — a GART commit bumps the data version and stale rows stop
-//!   matching with **no explicit purge**;
+//!   cache across sessions, statements that differ only in their values
+//!   share one plan yet keep their own rows, and result caching is exactly
+//!   as fresh as the store — a GART commit bumps the data version and
+//!   stale rows stop matching with **no explicit purge**;
 //! * the admission ladder surfaces through sessions: `Overloaded` is a
 //!   structured error, low priority sheds first, high priority keeps
 //!   getting served to capacity;
@@ -18,8 +19,9 @@ use std::time::Instant;
 use gs_datagen::apps::fraud_graph;
 use gs_gart::GartStore;
 use gs_graph::{GraphError, Value};
-use gs_ir::{ReferenceEngine, VerifyLevel};
+use gs_ir::{QueryEngine, ReferenceEngine, VerifyLevel};
 use gs_lang::Frontend;
+use gs_optimizer::Optimizer;
 use gs_serve::{
     AdmissionConfig, CostAction, CostBudget, CostGate, GartServeStore, Priority, ServeConfig,
     Server, TenantQuota,
@@ -126,6 +128,144 @@ fn gart_commit_invalidates_results_but_not_plans() {
     let again = deg(&session.query(Frontend::Cypher, DEG_QUERY, &params).unwrap());
     assert_eq!(again, after);
     assert_eq!(server.stats().result_hits, 1);
+}
+
+/// The §8 mix's three statement templates, with the account inline.
+fn mix_text(template: usize, account: usize) -> String {
+    match template {
+        0 => format!("MATCH (v:Account {{id: {account}}}) RETURN v"),
+        1 => format!(
+            "MATCH (v:Account {{id: {account}}})-[:KNOWS]-(f:Account) RETURN v, COUNT(f) AS deg"
+        ),
+        _ => format!(
+            "MATCH (v:Account {{id: {account}}})-[b1:BUY]->(:Item)<-[b2:BUY]-(s:Account) \
+             WHERE s.id IN $SEEDS AND b1.date - b2.date < 5 AND b2.date - b1.date < 5 \
+             WITH v, COUNT(s) AS cnt1 \
+             MATCH (v)-[:KNOWS]-(f:Account), (f)-[b3:BUY]->(:Item)<-[b4:BUY]-(s2:Account) \
+             WHERE s2.id IN $SEEDS \
+             WITH v, cnt1, COUNT(s2) AS cnt2 \
+             WHERE 2 * cnt1 + 1 * cnt2 > 3 \
+             RETURN v"
+        ),
+    }
+}
+
+/// Rows in a canonical order, to compare batches as multisets.
+fn sorted(rows: &[gs_ir::Record]) -> Vec<String> {
+    let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    v.sort();
+    v
+}
+
+/// One plan per template: 600 texts (200 accounts × 3 templates) compile
+/// three plans, every account still gets its own rows (those of a
+/// cache-free reference execution of its own text), and a second pass is
+/// served entirely from the result cache.
+#[test]
+fn statements_differing_only_in_values_share_one_plan() {
+    let workload = fraud_graph(200, 80, 800, 0, 7);
+    let store = GartStore::from_data(&workload.data).expect("workload loads");
+    let server = Arc::new(Server::new(
+        Box::new(ReferenceEngine::with_verify(VerifyLevel::Deny)),
+        Box::new(GartServeStore::new(Arc::clone(&store))),
+        ServeConfig {
+            result_cache_capacity: 1024,
+            ..Default::default()
+        },
+    ));
+    let seeds = workload
+        .seeds
+        .iter()
+        .map(|&s| Value::Int(s as i64))
+        .collect();
+    let params = HashMap::from([("SEEDS".to_string(), Value::List(seeds))]);
+    let session = server.session("risk", Priority::Normal);
+    let snapshot = store.snapshot();
+    let mut fraud_positive = 0;
+    for template in 0..3 {
+        for account in 0..200 {
+            let text = mix_text(template, account);
+            let rows = session.query(Frontend::Cypher, &text, &params).unwrap();
+            let expected = Frontend::Cypher
+                .compile_with(&text, store.schema(), &params, &Optimizer::rbo_only())
+                .unwrap();
+            let expected = ReferenceEngine::default()
+                .execute(&expected.physical, &snapshot)
+                .unwrap();
+            assert_eq!(sorted(&rows), sorted(&expected), "{text}");
+            if template == 0 {
+                assert_eq!(rows.len(), 1, "{text}");
+            }
+            if template == 2 && !rows.is_empty() {
+                fraud_positive += 1;
+            }
+        }
+    }
+    assert!(fraud_positive > 0, "the fraud template must flag someone");
+    let first = server.stats();
+    assert_eq!(first.plan_misses, 3, "one compile per template");
+    assert_eq!(first.plan_hits, 597);
+    assert_eq!(first.executed, 600, "every statement has its own rows");
+
+    for template in 0..3 {
+        for account in 0..200 {
+            let text = mix_text(template, account);
+            session.query(Frontend::Cypher, &text, &params).unwrap();
+        }
+    }
+    let second = server.stats();
+    assert_eq!(second.plan_misses, 3);
+    assert_eq!(second.result_hits - first.result_hits, 600);
+    assert_eq!(second.executed, 600, "the second pass runs nothing");
+}
+
+/// Prepared statements that share a template keep their own values.
+#[test]
+fn prepared_statements_sharing_a_template_keep_their_values() {
+    let (server, _store, _workload) = fraud_server(8);
+    let session = server.session("analytics", Priority::Normal);
+    let params = HashMap::new();
+    let a = session
+        .prepare(Frontend::Cypher, &mix_text(0, 3), &params)
+        .unwrap();
+    let b = session
+        .prepare(Frontend::Cypher, &mix_text(0, 4), &params)
+        .unwrap();
+    assert_ne!(a, b, "two statements, two ids");
+    assert_eq!(server.stats().plan_misses, 1, "one template, one plan");
+    let (rows_a, rows_b) = (session.execute(a).unwrap(), session.execute(b).unwrap());
+    assert_ne!(rows_a, rows_b, "each statement runs with its own account");
+    assert_eq!(
+        *rows_a,
+        *session
+            .query(Frontend::Cypher, &mix_text(0, 3), &params)
+            .unwrap()
+    );
+}
+
+/// Statement keys tag each value with its type: `$id` bound to `Int(1)`
+/// and then to `Str("1")` (equal as text) must not get the first
+/// binding's plan or cached rows.
+#[test]
+fn a_binding_of_another_type_is_not_served_cached_rows() {
+    let (server, _store, _workload) = fraud_server(8);
+    let session = server.session("risk", Priority::Normal);
+    let by_id = |id: Value| {
+        let params = HashMap::from([("id".to_string(), id)]);
+        session
+            .query(
+                Frontend::Cypher,
+                "MATCH (v:Account {id: $id}) RETURN v",
+                &params,
+            )
+            .unwrap()
+    };
+    assert_eq!(by_id(Value::Int(1)).len(), 1);
+    assert!(
+        by_id(Value::Str("1".into())).is_empty(),
+        "a string never equals an integer id"
+    );
+    assert_eq!(server.stats().plan_misses, 2, "one plan per slot type");
 }
 
 /// `Overloaded` travels through the session API as a structured error,
