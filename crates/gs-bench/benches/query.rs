@@ -5,10 +5,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gs_datagen::snb::{generate, SnbConfig};
 use gs_flex::snb::interactive::{ic1, Params};
 use gs_flex::snb::{bi_plan, BiParams, FlexBackend, TuBackend};
+use gs_ir::cost::CostStats;
 use gs_ir::exec::execute;
 use gs_ir::physical::lower_naive;
 use gs_lang::parse_cypher;
-use gs_optimizer::{GlogueCatalog, Optimizer};
+use gs_optimizer::Optimizer;
 use gs_vineyard::VineyardGraph;
 use std::collections::HashMap;
 
@@ -16,7 +17,7 @@ fn compile_pipeline(c: &mut Criterion) {
     let g = generate(&SnbConfig::lite(200));
     let schema = g.data.schema.clone();
     let store = VineyardGraph::build(&g.data).unwrap();
-    let catalog = GlogueCatalog::build(&store, 100);
+    let catalog = CostStats::build(&store, 100);
     let q = "MATCH (a:Person)-[:KNOWS]-(b:Person)-[:KNOWS]-(c:Person) \
              WHERE a.firstName = 'Jan' RETURN b, COUNT(c) AS n ORDER BY n DESC LIMIT 5";
     let mut group = c.benchmark_group("compile");
@@ -36,7 +37,7 @@ fn bi_execution(c: &mut Criterion) {
     let g = generate(&SnbConfig::lite(300));
     let store = VineyardGraph::build(&g.data).unwrap();
     let schema = g.data.schema.clone();
-    let optimizer = Optimizer::new(GlogueCatalog::build(&store, 100));
+    let optimizer = Optimizer::new(CostStats::build(&store, 100));
     let plan = bi_plan(2, &schema, &g.labels, &BiParams::default()).unwrap();
     let optimized = optimizer.optimize(&plan).unwrap();
     let naive = lower_naive(&plan).unwrap();

@@ -23,14 +23,15 @@ use crate::util::TablePrinter;
 use gs_graph::json::Json;
 use gs_graph::Value;
 use gs_ir::cost::{
-    cost_physical, CostBudget, CostReport, C_CROSS_PRODUCT, C_EXPANSION_BLOWUP, C_MEMORY_BUDGET,
+    cost_physical, CostBudget, CostReport, CostStats, C_CROSS_PRODUCT, C_EXPANSION_BLOWUP,
+    C_MEMORY_BUDGET,
 };
 use gs_ir::exec::execute_traced;
 use gs_ir::expr::{BinOp, Expr};
 use gs_ir::physical::{ExpandOut, PhysicalOp, PhysicalPlan};
 use gs_ir::verify::Severity;
 use gs_ir::{LogicalPlan, Record};
-use gs_optimizer::{GlogueCatalog, Optimizer};
+use gs_optimizer::Optimizer;
 use gs_vineyard::VineyardGraph;
 
 /// Per-operator estimate/actual pair for one query.
@@ -129,13 +130,12 @@ fn cost_and_execute(
     name: &str,
     plan: &gs_graph::Result<LogicalPlan>,
     store: &VineyardGraph,
-    catalog: &GlogueCatalog,
+    catalog: &CostStats,
 ) -> gs_graph::Result<QueryCost> {
     let plan = plan.as_ref().map_err(Clone::clone)?;
     let optimizer = Optimizer::new(catalog.clone());
     let physical = optimizer.optimize(plan)?;
-    let stats = catalog.to_cost_stats();
-    let cost = cost_physical(&physical, Some(&stats), &CostBudget::default());
+    let cost = cost_physical(&physical, Some(catalog), &CostBudget::default());
     let (_, actuals): (Vec<Record>, Vec<u64>) = execute_traced(&physical, store)?;
     let mut ops = Vec::with_capacity(actuals.len());
     for (i, (op, actual)) in physical.ops.iter().zip(&actuals).enumerate() {
@@ -173,8 +173,7 @@ fn cost_and_execute(
 /// Pathological plans: each must trip exactly its code under a tight
 /// budget. Costed against the quickstart catalog (statistics present, so
 /// the errors come from the plan shape, not from missing stats).
-fn pathological(catalog: &GlogueCatalog) -> Vec<PathologicalCheck> {
-    let stats = catalog.to_cost_stats();
+fn pathological(stats: &CostStats) -> Vec<PathologicalCheck> {
     let person = gs_graph::LabelId(0);
     let knows = gs_graph::LabelId(0);
     let scan = || PhysicalOp::Scan {
@@ -220,7 +219,7 @@ fn pathological(catalog: &GlogueCatalog) -> Vec<PathologicalCheck> {
                         ),
                     },
                 ]),
-                Some(&stats),
+                Some(stats),
                 &CostBudget::default(),
             ),
         ),
@@ -238,7 +237,7 @@ fn pathological(catalog: &GlogueCatalog) -> Vec<PathologicalCheck> {
                     expand(4),
                     expand(5),
                 ]),
-                Some(&stats),
+                Some(stats),
                 &CostBudget {
                     max_rows: 50.0,
                     ..CostBudget::default()
@@ -251,7 +250,7 @@ fn pathological(catalog: &GlogueCatalog) -> Vec<PathologicalCheck> {
             C_MEMORY_BUDGET,
             cost_physical(
                 &plan(vec![scan(), expand(0)]),
-                Some(&stats),
+                Some(stats),
                 &CostBudget {
                     max_memory_bytes: 64,
                     ..CostBudget::default()
@@ -276,7 +275,7 @@ pub fn run() -> CostcheckReport {
     let mut quickstart_catalog = None;
     for (data, plans) in crate::corpus::corpus() {
         let store = VineyardGraph::build(&data).expect("corpus store");
-        let catalog = GlogueCatalog::build(&store, 128);
+        let catalog = CostStats::build(&store, 128);
         for (name, plan) in &plans {
             queries.push(
                 cost_and_execute(name, plan, &store, &catalog).unwrap_or_else(|e| {

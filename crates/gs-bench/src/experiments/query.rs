@@ -9,12 +9,13 @@ use gs_flex::snb::{
 };
 use gs_gaia::GaiaEngine;
 use gs_graph::Value;
+use gs_ir::cost::CostStats;
 use gs_ir::exec::execute;
 use gs_ir::expr::BinOp;
 use gs_ir::logical::ProjectItem;
 use gs_ir::physical::lower_naive;
 use gs_ir::{Expr, LogicalPlan, Pattern, PlanBuilder};
-use gs_optimizer::{GlogueCatalog, Optimizer, OptimizerConfig};
+use gs_optimizer::{Optimizer, OptimizerConfig};
 use gs_vineyard::VineyardGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -141,7 +142,7 @@ pub fn fig7e(scale: f64) {
     println!("paper shape: fusion ≈2.9×, filter-push ≈279×, CBO ≈11×\n");
     let g = snb(scale, 800);
     let store = VineyardGraph::build(&g.data).unwrap();
-    let catalog = GlogueCatalog::build(&store, 500);
+    let catalog = CostStats::build(&store, 500);
     let mut t = TablePrinter::new(&["set", "query", "unoptimized", "optimized", "speedup"]);
     for (set, rule) in [(1usize, "fusion"), (2, "filter-push"), (3, "CBO")] {
         // Each set isolates one rule: the baseline has it off, the
@@ -343,7 +344,7 @@ pub fn fig7g(scale: f64) {
     let g = snb(scale, 500);
     let store = VineyardGraph::build(&g.data).unwrap();
     let schema = g.data.schema.clone();
-    let catalog = GlogueCatalog::build(&store, 300);
+    let catalog = CostStats::build(&store, 300);
     let optimizer = Optimizer::new(catalog);
     let gaia = GaiaEngine::new(
         std::thread::available_parallelism()

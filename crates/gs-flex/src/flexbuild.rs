@@ -286,7 +286,7 @@ impl Deployment {
         }
     }
 
-    /// `ANALYZE` — builds a GLogue statistics catalog over any configured
+    /// `ANALYZE` — builds the GLogue statistics catalog over any configured
     /// GRIN store, so serving and optimization can be fed real statistics
     /// (`Optimizer::new(deployment.analyze(&store, n))`) instead of
     /// ad-hoc catalogs built inside the optimizer.
@@ -294,8 +294,8 @@ impl Deployment {
         &self,
         store: &dyn gs_grin::GrinGraph,
         sample_per_label: usize,
-    ) -> gs_optimizer::GlogueCatalog {
-        gs_optimizer::GlogueCatalog::build(store, sample_per_label)
+    ) -> gs_ir::cost::CostStats {
+        gs_ir::cost::CostStats::build(store, sample_per_label)
     }
 
     /// Encodes the manifest as JSON (components by paper number).

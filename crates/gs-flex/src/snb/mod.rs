@@ -14,9 +14,10 @@ mod tests {
     use super::*;
     use gs_datagen::snb::{generate, SnbConfig};
     use gs_gaia::GaiaEngine;
+    use gs_ir::cost::CostStats;
     use gs_ir::exec::execute;
     use gs_ir::physical::lower_naive;
-    use gs_optimizer::{GlogueCatalog, Optimizer};
+    use gs_optimizer::Optimizer;
     use gs_vineyard::VineyardGraph;
     use interactive::{canonical, UpdateIds};
 
@@ -79,7 +80,7 @@ mod tests {
         let g = small_graph();
         let store = VineyardGraph::build(&g.data).unwrap();
         let schema = g.data.schema.clone();
-        let catalog = GlogueCatalog::build(&store, 200);
+        let catalog = CostStats::build(&store, 200);
         let optimizer = Optimizer::new(catalog);
         let gaia = GaiaEngine::new(4);
         let params = BiParams::default();

@@ -9,9 +9,13 @@
 //! flows (the GOpt idea of choosing plans by estimated intermediate
 //! result size, made an engine-independent analysis).
 //!
-//! * The **estimate** uses [`CostStats`] (label counts, per-edge-label
-//!   average degrees, sampled distinct values — the GLogue catalog's
-//!   numbers) and the usual selectivity heuristics.
+//! * The **estimate** uses [`CostStats`], the GLogue statistics catalog
+//!   (label counts, per-edge-label average degrees, sampled distinct
+//!   values), and its one selectivity estimator,
+//!   [`CostStats::selectivity`]. `gs-optimizer`'s CBO orders patterns
+//!   with the same catalog, estimator and defaults, so the plans it picks
+//!   are priced by the model this analysis (and `gate costcheck`)
+//!   measures.
 //! * The **interval** is sound: `lo` and `hi` bound the true operator
 //!   output for *any* data distribution consistent with the statistics
 //!   (scans are exact, expansions are bounded by recorded max degrees,
@@ -19,8 +23,7 @@
 //!   statistics the analysis falls back to conservative bounds
 //!   (`hi = ∞`) and says so.
 //!
-//! Findings are irlint-style [`Diagnostic`]s with stable codes under the
-//! same Off/Warn/Deny [`VerifyLevel`] discipline:
+//! Findings are irlint-style [`Diagnostic`]s with stable codes:
 //!
 //! * `C001` — cross-product scan with no connecting predicate anywhere
 //!   downstream;
@@ -31,6 +34,9 @@
 //! * `C302` — low-confidence estimate (a defaulted selectivity or
 //!   distinct count fed the numbers).
 //!
+//! The record width comes from [`PhysicalOp::shape`], the record-shape
+//! rule `verify_physical` and EdgeVertexFusion walk plans with too.
+//!
 //! Consumers: `gs-serve` sheds or demotes statically over-budget prepared
 //! statements before they reach an engine; `gs-bench costcheck` tracks
 //! estimator quality (q-error percentiles) against actual per-operator
@@ -40,11 +46,11 @@
 
 use crate::expr::{BinOp, Expr};
 use crate::logical::ProjectItem;
-use crate::physical::{ExpandOut, PhysicalOp, PhysicalPlan};
+use crate::physical::{PhysicalOp, PhysicalPlan};
 use crate::record::ColumnKind;
-use crate::verify::{Diagnostic, Severity, VerifyLevel, VerifyReport};
-use gs_graph::{LabelId, PropId, Result};
-use gs_grin::Direction;
+use crate::verify::{Diagnostic, Severity, VerifyReport};
+use gs_graph::{LabelId, Value};
+use gs_grin::{Direction, GrinGraph};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
@@ -67,9 +73,9 @@ pub const W_LOW_CONFIDENCE: &str = "C302";
 pub const VALUE_BYTES: f64 = 48.0;
 
 /// Label cardinality assumed when no statistics are available.
-const DEFAULT_LABEL_COUNT: f64 = 1_000.0;
+pub const DEFAULT_LABEL_COUNT: f64 = 1_000.0;
 /// Expansion fan-out assumed when no statistics are available.
-const DEFAULT_FANOUT: f64 = 10.0;
+pub const DEFAULT_FANOUT: f64 = 10.0;
 /// Distinct-value count assumed when a property was never sampled.
 const DEFAULT_DISTINCT: u64 = 10;
 
@@ -115,20 +121,47 @@ impl CardInterval {
 // Statistics
 // ---------------------------------------------------------------------
 
-/// Per-edge-label statistics as the cost model consumes them. Average
-/// degrees drive estimates; max degrees drive the sound `hi` bounds.
+/// Seed used by [`CostStats::build`]; `build_seeded` takes any.
+const DEFAULT_SAMPLE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Statistics with no entries: every lookup misses, so every estimate
+/// takes its default (what the analysis runs on without statistics).
+static NO_STATS: CostStats = CostStats {
+    vertex_counts: Vec::new(),
+    edge_stats: Vec::new(),
+    distinct_values: BTreeMap::new(),
+};
+
+/// splitmix64 — the dependency-free PRNG step used for sampling, so two
+/// builds over the same graph are bit-identical for the same seed.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Per-edge-label statistics. Average degrees drive estimates; max
+/// degrees drive the sound `hi` bounds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EdgeCostStats {
     pub count: u64,
+    /// Average out-degree over *source-label* vertices.
     pub avg_out_degree: f64,
+    /// Average in-degree over *destination-label* vertices.
     pub avg_in_degree: f64,
+    /// Maximum out-degree over source-label vertices.
     pub max_out_degree: u64,
+    /// Maximum in-degree over destination-label vertices.
     pub max_in_degree: u64,
 }
 
-/// The statistics a cost analysis runs against — a dependency-free
-/// mirror of `gs-optimizer`'s GLogue catalog (which converts into this;
-/// `gs-ir` cannot depend on the optimizer crate).
+/// The GLogue statistics catalog (§5.2): exact label cardinalities,
+/// per-edge-label degrees (the frequency of 2-vertex patterns) and
+/// sampled property distinct counts. The CBO (`gs-optimizer`'s
+/// `cbo_order`) orders patterns with it and [`cost_physical`] prices
+/// plans with it, both through [`selectivity`](Self::selectivity).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CostStats {
     /// Vertex count per vertex label (indexed by label id).
@@ -136,18 +169,97 @@ pub struct CostStats {
     /// Edge statistics per edge label (indexed by label id).
     pub edge_stats: Vec<EdgeCostStats>,
     /// Sampled distinct-value counts: (vertex label, prop) → estimate.
-    /// Ordered map so any iteration over it is deterministic.
+    /// Ordered map so accumulation and any later iteration are
+    /// independent of hash order (gs-lint L002).
     pub distinct_values: BTreeMap<(u16, u16), u64>,
 }
 
 impl CostStats {
+    /// Builds the statistics by scanning counts and sampling up to
+    /// `sample_per_label` vertices per label for property statistics,
+    /// with the default sampling seed. Deterministic: two builds over the
+    /// same graph are equal.
+    pub fn build(graph: &dyn GrinGraph, sample_per_label: usize) -> Self {
+        Self::build_seeded(graph, sample_per_label, DEFAULT_SAMPLE_SEED)
+    }
+
+    /// [`build`](Self::build) with an explicit sampling seed. Sample
+    /// positions come from a seeded splitmix64 stream over the label's
+    /// id range — never from map iteration order — so the result is a
+    /// pure function of `(graph, sample_per_label, seed)`.
+    pub fn build_seeded(graph: &dyn GrinGraph, sample_per_label: usize, seed: u64) -> Self {
+        let schema = graph.schema();
+        let vertex_counts: Vec<u64> = schema
+            .vertex_labels()
+            .iter()
+            .map(|l| graph.vertex_count(l.id) as u64)
+            .collect();
+        let edge_stats: Vec<EdgeCostStats> = schema
+            .edge_labels()
+            .iter()
+            .map(|l| {
+                let m = graph.edge_count(l.id) as u64;
+                let src_n = graph.vertex_count(l.src).max(1) as f64;
+                let dst_n = graph.vertex_count(l.dst).max(1) as f64;
+                let max_out = graph
+                    .vertices(l.src)
+                    .map(|v| graph.degree(v, l.src, l.id, Direction::Out))
+                    .max()
+                    .unwrap_or(0) as u64;
+                let max_in = graph
+                    .vertices(l.dst)
+                    .map(|v| graph.degree(v, l.dst, l.id, Direction::In))
+                    .max()
+                    .unwrap_or(0) as u64;
+                EdgeCostStats {
+                    count: m,
+                    avg_out_degree: m as f64 / src_n,
+                    avg_in_degree: m as f64 / dst_n,
+                    max_out_degree: max_out,
+                    max_in_degree: max_in,
+                }
+            })
+            .collect();
+        let mut distinct_values = BTreeMap::new();
+        for l in schema.vertex_labels() {
+            let n = graph.vertex_count(l.id);
+            if n == 0 {
+                continue;
+            }
+            let samples = sample_per_label.max(1).min(n);
+            for p in &l.properties {
+                // per-(label, prop) stream so adding a property never
+                // shifts the samples drawn for another
+                let mut rng = seed ^ ((l.id.0 as u64) << 32) ^ (p.id.0 as u64);
+                let mut seen = std::collections::BTreeSet::new();
+                let mut sampled = 0u64;
+                for _ in 0..samples {
+                    let i = splitmix64(&mut rng) % n as u64;
+                    let v = graph.vertex_property(l.id, gs_graph::VId(i), p.id);
+                    if !v.is_null() {
+                        seen.insert(format!("{v}"));
+                    }
+                    sampled += 1;
+                }
+                // scale distinct count up when the sample looks unsaturated
+                let distinct = if (seen.len() as u64) < sampled / 2 {
+                    seen.len() as u64
+                } else {
+                    ((seen.len() as f64) * (n.max(1) as f64 / sampled.max(1) as f64)) as u64
+                };
+                distinct_values.insert((l.id.0, p.id.0), distinct.max(1));
+            }
+        }
+        Self {
+            vertex_counts,
+            edge_stats,
+            distinct_values,
+        }
+    }
+
     /// Cardinality of a vertex label (`None` when outside the stats).
     pub fn label_count(&self, l: LabelId) -> Option<f64> {
         self.vertex_counts.get(l.index()).map(|&n| n as f64)
-    }
-
-    fn distinct(&self, label: LabelId, prop: PropId) -> Option<u64> {
-        self.distinct_values.get(&(label.0, prop.0)).copied()
     }
 
     /// Average expansion fan-out of `elabel` in `dir`.
@@ -169,6 +281,68 @@ impl CostStats {
             Direction::In => s.max_in_degree as f64,
             Direction::Both => (s.max_out_degree + s.max_in_degree) as f64,
         })
+    }
+
+    /// The selectivity estimator: the estimated fraction (0..=1) of rows a
+    /// predicate keeps, and whether a default stood in for a missing
+    /// statistic (which drives C302). Labels ride inside
+    /// `VertexProp`/`VertexId`/`EdgeProp`, so no layout is needed.
+    pub fn selectivity(&self, pred: &Expr) -> (f64, bool) {
+        match pred {
+            Expr::Binary { op, lhs, rhs } => match op {
+                BinOp::And | BinOp::Or => {
+                    let (l, l_default) = self.selectivity(lhs);
+                    let (r, r_default) = self.selectivity(rhs);
+                    let s = if *op == BinOp::And {
+                        l * r
+                    } else {
+                        (l + r).min(1.0)
+                    };
+                    (s, l_default || r_default)
+                }
+                // whichever side names a vertex property or id
+                BinOp::Eq => match (&**lhs, &**rhs) {
+                    (x @ (Expr::VertexProp { .. } | Expr::VertexId { .. }), _) | (_, x) => {
+                        self.eq_selectivity(x)
+                    }
+                },
+                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => (0.33, false),
+                BinOp::Ne => (0.9, false),
+                _ => (0.5, true),
+            },
+            Expr::Not(e) => {
+                let (s, defaulted) = self.selectivity(e);
+                ((1.0 - s).clamp(0.0, 1.0), defaulted)
+            }
+            Expr::In { expr, list } => match list.list_len() {
+                // one equality per list element
+                Some(len) => {
+                    let (s, defaulted) = self.eq_selectivity(expr);
+                    ((len as f64 * s).min(1.0), defaulted)
+                }
+                // a list slot's length is unknown until bound
+                None => (0.5, true),
+            },
+            Expr::Const(Value::Bool(b)) => (if *b { 1.0 } else { 0.0 }, false),
+            _ => (0.5, true),
+        }
+    }
+
+    /// Selectivity of `x = v` for a single value `v`.
+    fn eq_selectivity(&self, x: &Expr) -> (f64, bool) {
+        match x {
+            Expr::VertexProp { label, prop, .. } => {
+                match self.distinct_values.get(&(label.0, prop.0)) {
+                    Some(&d) => (1.0 / d.max(1) as f64, false),
+                    None => (1.0 / DEFAULT_DISTINCT as f64, true),
+                }
+            }
+            Expr::VertexId { label, .. } => match self.label_count(*label) {
+                Some(n) => (1.0 / n.max(1.0), false),
+                None => (1.0 / DEFAULT_LABEL_COUNT, true),
+            },
+            _ => (0.1, true),
+        }
     }
 }
 
@@ -251,22 +425,6 @@ impl CostReport {
     }
 }
 
-/// Applies a [`VerifyLevel`] to a cost report at a boundary, recording
-/// `ir.cost.*` telemetry. Only `Deny` + C-errors rejects.
-pub fn enforce_cost(cost: &CostReport, level: VerifyLevel, context: &str) -> Result<()> {
-    if level == VerifyLevel::Off {
-        return Ok(());
-    }
-    gs_telemetry::counter!("ir.cost.plans", at = context; 1);
-    gs_telemetry::counter!("ir.cost.errors", at = context; cost.report.error_count() as u64);
-    gs_telemetry::counter!("ir.cost.warnings", at = context; cost.report.warning_count() as u64);
-    if level == VerifyLevel::Deny && cost.report.error_count() > 0 {
-        gs_telemetry::counter!("ir.cost.denied", at = context; 1);
-        return cost.report.check(context);
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // The abstract interpreter
 // ---------------------------------------------------------------------
@@ -337,73 +495,6 @@ impl<'a> CostChecker<'a> {
                     );
                 }
                 (DEFAULT_FANOUT, f64::INFINITY)
-            }
-        }
-    }
-
-    /// Estimated selectivity (0..=1) of a predicate. Labels ride inside
-    /// `VertexProp`/`VertexId`/`EdgeProp`, so no layout is needed.
-    fn selectivity(&mut self, pred: &Expr) -> f64 {
-        match pred {
-            Expr::Binary { op, lhs, rhs } => match op {
-                BinOp::And => self.selectivity(lhs) * self.selectivity(rhs),
-                BinOp::Or => (self.selectivity(lhs) + self.selectivity(rhs)).min(1.0),
-                BinOp::Eq => match &**lhs {
-                    Expr::VertexProp { label, prop, .. } => {
-                        match self.stats.and_then(|s| s.distinct(*label, *prop)) {
-                            Some(d) => 1.0 / d.max(1) as f64,
-                            None => {
-                                self.defaults_used += 1;
-                                1.0 / DEFAULT_DISTINCT as f64
-                            }
-                        }
-                    }
-                    Expr::VertexId { label, .. } => {
-                        match self.stats.and_then(|s| s.label_count(*label)) {
-                            Some(n) => 1.0 / n.max(1.0),
-                            None => {
-                                self.defaults_used += 1;
-                                1.0 / DEFAULT_LABEL_COUNT
-                            }
-                        }
-                    }
-                    _ => {
-                        self.defaults_used += 1;
-                        0.1
-                    }
-                },
-                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 0.33,
-                BinOp::Ne => 0.9,
-                _ => {
-                    self.defaults_used += 1;
-                    0.5
-                }
-            },
-            Expr::Not(e) => (1.0 - self.selectivity(e)).clamp(0.0, 1.0),
-            Expr::In { expr, list } => {
-                // a list slot's length is unknown until bound
-                let Some(len) = list.list_len() else {
-                    self.defaults_used += 1;
-                    return 0.5;
-                };
-                if let Expr::VertexId { label, .. } = &**expr {
-                    if let Some(n) = self.stats.and_then(|s| s.label_count(*label)) {
-                        return (len as f64 / n.max(1.0)).min(1.0);
-                    }
-                }
-                self.defaults_used += 1;
-                (len as f64 / DEFAULT_LABEL_COUNT).min(1.0)
-            }
-            Expr::Const(gs_graph::Value::Bool(b)) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            _ => {
-                self.defaults_used += 1;
-                0.5
             }
         }
     }
@@ -519,6 +610,7 @@ pub fn cost_physical(
     budget: &CostBudget,
 ) -> CostReport {
     let mut ck = CostChecker::new(stats, budget);
+    let model = stats.unwrap_or(&NO_STATS);
     let mut per_op = Vec::with_capacity(plan.ops.len());
     // execution starts from one empty record
     let mut est = 1.0f64;
@@ -526,7 +618,12 @@ pub fn cost_physical(
     let mut kinds: Vec<ColumnKind> = Vec::new();
 
     for (i, op) in plan.ops.iter().enumerate() {
-        match op {
+        let (sel, defaulted) = op
+            .predicate()
+            .map_or((1.0, false), |p| model.selectivity(p));
+        ck.defaults_used += usize::from(defaulted);
+        // (estimated rows, sound interval, whether the op can multiply rows)
+        let (next_est, next, expands) = match op {
             PhysicalOp::Scan {
                 label,
                 predicate,
@@ -545,60 +642,30 @@ pub fn cost_physical(
                         ),
                     );
                 }
-                let sel = match (index_lookup, predicate) {
-                    (Some((prop, _)), _) => {
-                        let d = stats
-                            .and_then(|s| s.distinct(*label, *prop))
-                            .unwrap_or(DEFAULT_DISTINCT);
-                        // residual predicate may filter further, but the
-                        // index lookup already bounds the estimate
-                        1.0 / d.max(1) as f64
-                    }
-                    (None, Some(p)) => ck.selectivity(p),
-                    (None, None) => 1.0,
-                };
                 let exact = known && predicate.is_none() && index_lookup.is_none();
                 let next = CardInterval {
                     lo: if exact { iv.lo * n } else { 0.0 },
                     hi: if known { iv.hi * n } else { f64::INFINITY },
                 };
-                kinds.push(ColumnKind::Vertex(*label));
-                (est, iv) = ck.step(&mut per_op, i, true, est * n * sel, next, kinds.len());
+                (est * n * sel, next, true)
             }
-            PhysicalOp::Expand {
-                elabel,
-                dir,
-                predicate,
-                out,
-                ..
-            } => {
+            PhysicalOp::Expand { elabel, dir, .. } => {
                 let (avg, max) = ck.fanout(*elabel, *dir, Some(i));
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
-                let next = CardInterval::at_most(iv.hi * max);
-                kinds.push(match out {
-                    ExpandOut::Edge => ColumnKind::Edge(*elabel),
-                    ExpandOut::VertexFused { label } => ColumnKind::Vertex(*label),
-                });
-                (est, iv) = ck.step(&mut per_op, i, true, est * avg * sel, next, kinds.len());
+                (est * avg * sel, CardInterval::at_most(iv.hi * max), true)
             }
-            PhysicalOp::GetVertex {
-                label, predicate, ..
-            } => {
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
+            PhysicalOp::GetVertex { predicate, .. } => {
                 let next = if predicate.is_none() {
                     iv // exactly one endpoint per edge
                 } else {
                     CardInterval::at_most(iv.hi)
                 };
-                kinds.push(ColumnKind::Vertex(*label));
-                (est, iv) = ck.step(&mut per_op, i, false, est * sel, next, kinds.len());
+                (est * sel, next, false)
             }
             PhysicalOp::ExpandIntersect {
                 elabel,
                 dir,
                 dst_col,
                 bind_edge,
-                predicate,
                 ..
             } => {
                 let (avg, max) = ck.fanout(*elabel, *dir, Some(i));
@@ -608,48 +675,17 @@ pub fn cost_physical(
                 };
                 // probability an elabel edge closes onto the one bound dst
                 let close = (avg / n_dst.max(1.0)).min(1.0);
-                let sel = predicate.as_ref().map(|p| ck.selectivity(p)).unwrap_or(1.0);
                 let hi = if *bind_edge { iv.hi * max } else { iv.hi };
-                if *bind_edge {
-                    kinds.push(ColumnKind::Edge(*elabel));
-                }
-                (est, iv) = ck.step(
-                    &mut per_op,
-                    i,
-                    true,
-                    est * close * sel,
-                    CardInterval::at_most(hi),
-                    kinds.len(),
-                );
+                (est * close * sel, CardInterval::at_most(hi), true)
             }
-            PhysicalOp::Select { predicate } => {
-                let sel = ck.selectivity(predicate);
-                (est, iv) = ck.step(
-                    &mut per_op,
-                    i,
-                    false,
-                    est * sel,
-                    CardInterval::at_most(iv.hi),
-                    kinds.len(),
-                );
-            }
+            PhysicalOp::Select { .. } => (est * sel, CardInterval::at_most(iv.hi), false),
             PhysicalOp::Project { items } => {
-                let mut next_kinds = Vec::with_capacity(items.len());
-                for (it, _) in items {
-                    next_kinds.push(match it {
-                        ProjectItem::Expr(Expr::Column(c)) => {
-                            kinds.get(*c).cloned().unwrap_or(ColumnKind::Scalar)
-                        }
-                        _ => ColumnKind::Scalar,
-                    });
-                }
                 let n_aggs = items
                     .iter()
                     .filter(|(it, _)| matches!(it, ProjectItem::Agg(..)))
                     .count();
-                let (next_est, next_iv) = project_cardinality(est, iv, n_aggs, items.len());
-                kinds = next_kinds;
-                (est, iv) = ck.step(&mut per_op, i, false, next_est, next_iv, kinds.len());
+                let (next_est, next) = project_cardinality(est, iv, n_aggs, items.len());
+                (next_est, next, false)
             }
             PhysicalOp::Order { limit, .. } => {
                 let next = match limit {
@@ -659,24 +695,25 @@ pub fn cost_physical(
                     },
                     None => iv,
                 };
-                let next_est = limit.map(|n| est.min(n as f64)).unwrap_or(est);
-                (est, iv) = ck.step(&mut per_op, i, false, next_est, next, kinds.len());
+                (limit.map_or(est, |n| est.min(n as f64)), next, false)
             }
             PhysicalOp::Dedup { .. } => {
                 let next = CardInterval {
                     lo: if iv.lo > 0.0 { 1.0 } else { 0.0 },
                     hi: iv.hi,
                 };
-                (est, iv) = ck.step(&mut per_op, i, false, est, next, kinds.len());
+                (est, next, false)
             }
             PhysicalOp::Limit { n } => {
                 let next = CardInterval {
                     lo: iv.lo.min(*n as f64),
                     hi: iv.hi.min(*n as f64),
                 };
-                (est, iv) = ck.step(&mut per_op, i, false, est.min(*n as f64), next, kinds.len());
+                (est.min(*n as f64), next, false)
             }
-        }
+        };
+        op.shape(&mut kinds);
+        (est, iv) = ck.step(&mut per_op, i, expands, next_est, next, kinds.len());
     }
     ck.finish(per_op)
 }
@@ -708,8 +745,9 @@ fn project_cardinality(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::ExpandOut;
     use crate::record::Layout;
-    use gs_graph::Value;
+    use gs_graph::PropId;
 
     const V: LabelId = LabelId(0);
     const E: LabelId = LabelId(0);
@@ -908,18 +946,113 @@ mod tests {
     }
 
     #[test]
-    fn enforce_denies_only_errors() {
+    fn c302_on_index_lookup_without_distinct_count() {
+        // (V, prop 3) has no sampled distinct count: the lookup's estimate
+        // is a default and must say so
         let s = stats();
-        let cross = cost_physical(
-            &plan(vec![scan(), scan()]),
-            Some(&s),
-            &CostBudget::default(),
+        let key = Expr::bin(
+            BinOp::Eq,
+            Expr::VertexProp {
+                col: 0,
+                label: V,
+                prop: PropId(3),
+            },
+            Expr::Const(Value::Int(1)),
         );
-        assert!(enforce_cost(&cross, VerifyLevel::Warn, "test").is_ok());
-        assert!(enforce_cost(&cross, VerifyLevel::Deny, "test").is_err());
-        let clean = cost_physical(&plan(vec![scan()]), Some(&s), &CostBudget::default());
-        assert!(enforce_cost(&clean, VerifyLevel::Deny, "test").is_ok());
-        assert!(enforce_cost(&cross, VerifyLevel::Off, "test").is_ok());
+        let p = plan(vec![PhysicalOp::Scan {
+            label: V,
+            predicate: Some(key),
+            index_lookup: Some((PropId(3), Expr::Const(Value::Int(1)))),
+        }]);
+        let c = cost_physical(&p, Some(&s), &CostBudget::default());
+        assert!(c.has_code(W_LOW_CONFIDENCE), "{}", c.report.render());
+        // a sampled property is estimated from its distinct count, cleanly
+        let sampled = plan(vec![PhysicalOp::Scan {
+            label: V,
+            predicate: Some(Expr::bin(
+                BinOp::Eq,
+                Expr::VertexProp {
+                    col: 0,
+                    label: V,
+                    prop: PropId(0),
+                },
+                Expr::Const(Value::Int(1)),
+            )),
+            index_lookup: Some((PropId(0), Expr::Const(Value::Int(1)))),
+        }]);
+        let c = cost_physical(&sampled, Some(&s), &CostBudget::default());
+        assert!(c.report.is_clean(), "{}", c.report.render());
+        assert!((c.output_est_rows - 100.0 / 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn selectivity_rules() {
+        let s = stats();
+        let prop = |p: u16| Expr::VertexProp {
+            col: 0,
+            label: V,
+            prop: PropId(p),
+        };
+        let one = || Expr::Const(Value::Int(1));
+        let eq = Expr::bin(BinOp::Eq, prop(0), one());
+        assert_eq!(s.selectivity(&eq), (1.0 / 50.0, false));
+        // either side of an equality may name the property
+        assert_eq!(
+            s.selectivity(&Expr::bin(BinOp::Eq, one(), prop(0))),
+            (1.0 / 50.0, false)
+        );
+        let id = Expr::bin(BinOp::Eq, Expr::VertexId { col: 0, label: V }, one());
+        assert_eq!(s.selectivity(&id), (1.0 / 100.0, false));
+        // IN is one equality per element
+        let list = |n: i64| Expr::Const(Value::List((0..n).map(Value::Int).collect()));
+        let in3 = Expr::In {
+            expr: Box::new(prop(0)),
+            list: Box::new(list(3)),
+        };
+        assert_eq!(s.selectivity(&in3), (3.0 / 50.0, false));
+        let in99 = Expr::In {
+            expr: Box::new(prop(0)),
+            list: Box::new(list(99)),
+        };
+        assert_eq!(s.selectivity(&in99).0, 1.0);
+        let not = Expr::Not(Box::new(eq.clone()));
+        assert_eq!(s.selectivity(&not), (1.0 - 1.0 / 50.0, false));
+        assert_eq!(
+            s.selectivity(&Expr::Const(Value::Bool(false))),
+            (0.0, false)
+        );
+        // a missing statistic falls back to its default and says so
+        assert_eq!(
+            s.selectivity(&Expr::bin(BinOp::Eq, prop(3), one())),
+            (1.0 / DEFAULT_DISTINCT as f64, true)
+        );
+        let and = Expr::bin(BinOp::And, eq, Expr::bin(BinOp::Eq, prop(3), one()));
+        assert_eq!(s.selectivity(&and), (1.0 / 50.0 / 10.0, true));
+    }
+
+    #[test]
+    fn build_counts_degrees_and_is_deterministic() {
+        use gs_grin::graph::mock::MockGraph;
+        // star: vertex 0 points at every other vertex
+        let edges: Vec<(u64, u64, f64)> = (1..100).map(|i| (0u64, i, 1.0)).collect();
+        let mut g = MockGraph::new(100, &edges);
+        for i in 0..100 {
+            g.set_tag(gs_graph::VId(i), (i % 7) as i64);
+        }
+        let a = CostStats::build(&g, 50);
+        assert_eq!(a.vertex_counts, vec![100]);
+        assert_eq!(a.edge_stats[0].count, 99);
+        assert!((a.edge_stats[0].avg_out_degree - 0.99).abs() < 1e-9);
+        // the hub has out-degree 99, every spoke in-degree 1
+        assert_eq!(a.edge_stats[0].max_out_degree, 99);
+        assert_eq!(a.edge_stats[0].max_in_degree, 1);
+        // same graph, two builds → equal statistics; a different seed may
+        // differ only in the sampled distinct counts
+        assert_eq!(a, CostStats::build(&g, 50));
+        let c = CostStats::build_seeded(&g, 50, 1);
+        assert_eq!(c, CostStats::build_seeded(&g, 50, 1));
+        assert_eq!(a.vertex_counts, c.vertex_counts);
+        assert_eq!(a.edge_stats, c.edge_stats);
     }
 
     #[test]

@@ -35,8 +35,7 @@ pub mod verify;
 
 pub use builder::PlanBuilder;
 pub use cost::{
-    cost_physical, enforce_cost, CardInterval, CostBudget, CostReport, CostStats, EdgeCostStats,
-    OpCost,
+    cost_physical, CardInterval, CostBudget, CostReport, CostStats, EdgeCostStats, OpCost,
 };
 pub use engine::{Prepared, PreparedQuery, QueryEngine, ReferenceEngine};
 pub use expr::{AggFunc, BinOp, Expr, Slot};

@@ -179,19 +179,51 @@ impl PhysicalOp {
         })
     }
 
-    /// Index of the column this op *appends*, if any (relative to its input
-    /// width).
-    pub fn appends_column(&self) -> bool {
-        matches!(
-            self,
-            PhysicalOp::Scan { .. }
-                | PhysicalOp::Expand { .. }
-                | PhysicalOp::GetVertex { .. }
-                | PhysicalOp::ExpandIntersect {
-                    bind_edge: true,
-                    ..
-                }
-        )
+    /// The predicate this op filters its output with, if any.
+    pub fn predicate(&self) -> Option<&Expr> {
+        match self {
+            PhysicalOp::Scan { predicate, .. }
+            | PhysicalOp::Expand { predicate, .. }
+            | PhysicalOp::GetVertex { predicate, .. }
+            | PhysicalOp::ExpandIntersect { predicate, .. } => predicate.as_ref(),
+            PhysicalOp::Select { predicate } => Some(predicate),
+            _ => None,
+        }
+    }
+
+    /// The record-shape transfer: turns `kinds`, the column kinds of the
+    /// record entering this op, into those of the record leaving it.
+    /// Scans and expansions append one column, a binding intersect
+    /// appends its edge, a projection rebuilds the record, and every
+    /// other op keeps it. `verify_physical`, `cost_physical` and
+    /// EdgeVertexFusion all walk plans with this one rule.
+    pub fn shape(&self, kinds: &mut Vec<ColumnKind>) {
+        match self {
+            PhysicalOp::Scan { label, .. } | PhysicalOp::GetVertex { label, .. } => {
+                kinds.push(ColumnKind::Vertex(*label))
+            }
+            PhysicalOp::Expand { elabel, out, .. } => kinds.push(match out {
+                ExpandOut::Edge => ColumnKind::Edge(*elabel),
+                ExpandOut::VertexFused { label } => ColumnKind::Vertex(*label),
+            }),
+            PhysicalOp::ExpandIntersect {
+                elabel,
+                bind_edge: true,
+                ..
+            } => kinds.push(ColumnKind::Edge(*elabel)),
+            PhysicalOp::Project { items } => {
+                *kinds = items
+                    .iter()
+                    .map(|(it, _)| match it {
+                        ProjectItem::Expr(Expr::Column(c)) => {
+                            kinds.get(*c).cloned().unwrap_or(ColumnKind::Scalar)
+                        }
+                        _ => ColumnKind::Scalar,
+                    })
+                    .collect()
+            }
+            _ => {}
+        }
     }
 
     /// Binds every parameter slot of this op's expressions.

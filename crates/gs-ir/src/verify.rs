@@ -623,7 +623,8 @@ pub fn verify_logical(plan: &LogicalPlan, schema: &GraphSchema) -> VerifyReport 
 // ---------------------------------------------------------------------
 
 /// Verifies a physical plan against a schema, reconstructing the record
-/// kinds op by op (mirroring the reference executor's semantics).
+/// kinds op by op with [`PhysicalOp::shape`] (mirroring the reference
+/// executor's semantics).
 pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyReport {
     let mut c = Checker::new(schema);
     let mut kinds: Vec<ColumnKind> = Vec::new();
@@ -667,7 +668,6 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
                         "scan has no predicate and nothing downstream bounds it".to_string(),
                     );
                 }
-                kinds.push(ColumnKind::Vertex(*label));
             }
             PhysicalOp::Expand {
                 src_col,
@@ -710,14 +710,12 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
                         if let Some(p) = predicate {
                             c.check_predicate(p, &[ColumnKind::Edge(*elabel)], "expand");
                         }
-                        kinds.push(ColumnKind::Edge(*elabel));
                     }
                     ExpandOut::VertexFused { label } => {
                         c.check_vlabel(*label);
                         if let Some(p) = predicate {
                             c.check_predicate(p, &[ColumnKind::Vertex(*label)], "fused expand");
                         }
-                        kinds.push(ColumnKind::Vertex(*label));
                     }
                 }
             }
@@ -758,15 +756,14 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
                         c.check_predicate(p, &[ColumnKind::Vertex(*label)], "get-vertex");
                     }
                 }
-                kinds.push(ColumnKind::Vertex(*label));
             }
             PhysicalOp::ExpandIntersect {
                 src_col,
                 elabel,
                 dir,
                 dst_col,
-                bind_edge,
                 predicate,
+                ..
             } => {
                 let end_label = |c: &mut Checker, col: usize, what: &str| -> Option<LabelId> {
                     match kinds.get(col) {
@@ -800,16 +797,12 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
                 if let Some(p) = predicate {
                     c.check_predicate(p, &[ColumnKind::Edge(*elabel)], "intersect");
                 }
-                if *bind_edge {
-                    kinds.push(ColumnKind::Edge(*elabel));
-                }
             }
             PhysicalOp::Select { predicate } => {
                 c.check_predicate(predicate, &kinds, "select");
             }
             PhysicalOp::Project { items } => {
                 let mut names: Vec<&str> = Vec::new();
-                let mut out_kinds = Vec::with_capacity(items.len());
                 for (it, name) in items {
                     if names.contains(&name.as_str()) {
                         c.error(
@@ -818,24 +811,10 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
                         );
                     }
                     names.push(name);
-                    match it {
-                        ProjectItem::Expr(e) => {
-                            c.expr_type(e, &kinds);
-                            out_kinds.push(match e {
-                                Expr::Column(col) => {
-                                    kinds.get(*col).cloned().unwrap_or(ColumnKind::Scalar)
-                                }
-                                _ => ColumnKind::Scalar,
-                            });
-                        }
-                        ProjectItem::Agg(_, e) => {
-                            c.expr_type(e, &kinds);
-                            aggregated = true;
-                            out_kinds.push(ColumnKind::Scalar);
-                        }
-                    }
+                    let (ProjectItem::Expr(e) | ProjectItem::Agg(_, e)) = it;
+                    aggregated |= matches!(it, ProjectItem::Agg(..));
+                    c.expr_type(e, &kinds);
                 }
-                kinds = out_kinds;
             }
             PhysicalOp::Order { keys, limit } => {
                 for (e, _) in keys {
@@ -870,6 +849,7 @@ pub fn verify_physical(plan: &PhysicalPlan, schema: &GraphSchema) -> VerifyRepor
             }
             PhysicalOp::Limit { .. } => {}
         }
+        op.shape(&mut kinds);
     }
     c.op_index = None;
     // final dataflow invariant: the declared output layout matches the

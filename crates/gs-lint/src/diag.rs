@@ -40,7 +40,9 @@ pub fn describe(code: &str) -> &'static str {
         L001 => "raw sync primitive in an instrumented crate (use Tracked*)",
         L002 => "hash-order iteration feeds float accumulation",
         L003 => "unwrap/expect on channel send/recv in engine code",
-        L004 => "telemetry name malformed or missing from the registry",
+        L004 => {
+            "telemetry name malformed, missing from the registry, or registered but never emitted"
+        }
         L005 => "feature-gate hygiene (forwarding / passthrough)",
         L006 => "wall-clock read in a deterministic path",
         _ => "unknown code",

@@ -34,7 +34,7 @@ pub use registry::TelemetryRegistry;
 pub use suppress::BaselineEntry;
 
 use lints::{collect_facts, CrateFacts, FileCx};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -267,6 +267,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
         .collect();
 
     let mut files_scanned = 0usize;
+    let mut emitted = BTreeSet::new();
     for file in &ws.files {
         let Ok(src) = fs::read_to_string(&file.abs_path) else {
             continue;
@@ -285,6 +286,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
                 collect_facts(&cx, f);
             }
         }
+        lints::collect_emitted(&cx, &mut emitted);
         let file_findings = run_file_lints(&cx, cfg, &registry);
         let (allows, malformed) = suppress::parse_inline_allows(&lexed.comments);
         for (line, msg) in malformed {
@@ -335,6 +337,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
                 });
             }
         }
+        raw.extend(lints::l004_unemitted(&registry, &emitted));
     }
 
     let (kept, base_sup, stale_baseline) = suppress::apply_baseline(raw, &baseline);

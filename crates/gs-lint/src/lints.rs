@@ -511,16 +511,40 @@ pub fn l003(cx: &FileCx, out: &mut Vec<Finding>) {
 const TELEMETRY_MACROS: [&str; 3] = ["counter", "observe", "span"];
 const TELEMETRY_STATICS: [&str; 2] = ["StaticCounter", "StaticHistogram"];
 
-/// Checks every string literal passed to `counter!`/`observe!`/`span!`
-/// and `StaticCounter::new` against the `layer.noun[.verb]` convention
-/// and the registry extracted from DESIGN.md's telemetry tables.
-pub fn l004(cx: &FileCx, registry: &TelemetryRegistry, out: &mut Vec<Finding>) {
+/// The name literal of every `counter!`/`observe!`/`span!` call and
+/// `StaticCounter::new`/`StaticHistogram::new` in a file's non-test code,
+/// with whether the call carries fields.
+fn telemetry_calls<'t>(cx: &FileCx<'t>) -> Vec<(&'t Token, bool)> {
     let toks = cx.tokens;
-    let check = |name_at: usize, has_fields: bool, out: &mut Vec<Finding>| {
-        let t = &toks[name_at];
-        if cx.in_test(t.line) {
-            return;
+    let str_at = |i: usize| toks.get(i).filter(|t| t.kind == TokKind::Str);
+    let mut calls = Vec::new();
+    for i in 0..toks.len() {
+        let Some(m) = ident(toks, i) else { continue };
+        if TELEMETRY_MACROS.contains(&m) && is_punct(toks, i + 1, '!') && is_punct(toks, i + 2, '(')
+        {
+            if let Some(t) = str_at(i + 3) {
+                calls.push((t, is_punct(toks, i + 4, ',')));
+            }
         }
+        if TELEMETRY_STATICS.contains(&m)
+            && is_cc(toks, i + 1)
+            && is_ident(toks, i + 3, "new")
+            && is_punct(toks, i + 4, '(')
+        {
+            if let Some(t) = str_at(i + 5) {
+                calls.push((t, false));
+            }
+        }
+    }
+    calls.retain(|(t, _)| !cx.in_test(t.line));
+    calls
+}
+
+/// Checks every telemetry name a file emits against the
+/// `layer.noun[.verb]` convention and the registry extracted from
+/// DESIGN.md's telemetry tables.
+pub fn l004(cx: &FileCx, registry: &TelemetryRegistry, out: &mut Vec<Finding>) {
+    for (t, has_fields) in telemetry_calls(cx) {
         let name = t.text.as_str();
         if !is_metric_base(name) {
             out.push(cx.finding(
@@ -531,7 +555,7 @@ pub fn l004(cx: &FileCx, registry: &TelemetryRegistry, out: &mut Vec<Finding>) {
                      (2–4 lowercase dotted segments)"
                 ),
             ));
-            return;
+            continue;
         }
         match registry.get(name) {
             None => out.push(cx.finding(
@@ -552,33 +576,32 @@ pub fn l004(cx: &FileCx, registry: &TelemetryRegistry, out: &mut Vec<Finding>) {
             )),
             Some(_) => {}
         }
-    };
-    for i in 0..toks.len() {
-        if let Some(m) = ident(toks, i) {
-            if TELEMETRY_MACROS.contains(&m)
-                && is_punct(toks, i + 1, '!')
-                && is_punct(toks, i + 2, '(')
-                && toks
-                    .get(i + 3)
-                    .map(|t| t.kind == TokKind::Str)
-                    .unwrap_or(false)
-            {
-                let has_fields = is_punct(toks, i + 4, ',');
-                check(i + 3, has_fields, out);
-            }
-            if TELEMETRY_STATICS.contains(&m)
-                && is_cc(toks, i + 1)
-                && is_ident(toks, i + 3, "new")
-                && is_punct(toks, i + 4, '(')
-                && toks
-                    .get(i + 5)
-                    .map(|t| t.kind == TokKind::Str)
-                    .unwrap_or(false)
-            {
-                check(i + 5, false, out);
-            }
-        }
     }
+}
+
+/// Adds the telemetry names a file's non-test code emits to `emitted`.
+pub fn collect_emitted(cx: &FileCx, emitted: &mut BTreeSet<String>) {
+    emitted.extend(telemetry_calls(cx).into_iter().map(|(t, _)| t.text.clone()));
+}
+
+/// The registry side of L004: a name DESIGN.md documents that no scanned
+/// source emits, such as one left behind by a deleted emitter.
+pub fn l004_unemitted(registry: &TelemetryRegistry, emitted: &BTreeSet<String>) -> Vec<Finding> {
+    registry
+        .names()
+        .filter(|e| !emitted.contains(&e.base))
+        .map(|e| Finding {
+            code: L004,
+            file: "DESIGN.md".into(),
+            line: e.line,
+            message: format!(
+                "telemetry name `{}` is documented but no source emits it — delete its \
+                 DESIGN.md entry (and regenerate the registry dump) or restore its emitter",
+                e.base
+            ),
+            snippet: e.base.clone(),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,8 @@ pub struct RegistryEntry {
     pub base: String,
     /// True if the docs show a `{field}` template (dynamic fields).
     pub templated: bool,
+    /// DESIGN.md line (1-based) of the first table row naming it.
+    pub line: u32,
 }
 
 /// The set of documented names, keyed by base name.
@@ -34,13 +36,13 @@ impl TelemetryRegistry {
     /// Extracts the registry from DESIGN.md markdown text.
     pub fn from_design_md(text: &str) -> Self {
         let mut entries = BTreeMap::new();
-        for line in text.lines() {
+        for (line_no, line) in (1..).zip(text.lines()) {
             let trimmed = line.trim_start();
             if !trimmed.starts_with('|') {
                 continue;
             }
             for span in backtick_spans(trimmed) {
-                if let Some(entry) = parse_metric_name(span) {
+                if let Some(entry) = parse_metric_name(span, line_no) {
                     entries
                         .entry(entry.base.clone())
                         .and_modify(|e: &mut RegistryEntry| e.templated |= entry.templated)
@@ -92,7 +94,7 @@ fn backtick_spans(line: &str) -> impl Iterator<Item = &str> {
 }
 
 /// `layer.noun[.verb...]` with optional `{fields}` → entry; else None.
-fn parse_metric_name(span: &str) -> Option<RegistryEntry> {
+fn parse_metric_name(span: &str, line: u32) -> Option<RegistryEntry> {
     let (base, templated) = match span.find('{') {
         Some(i) => {
             if !span.ends_with('}') {
@@ -108,6 +110,7 @@ fn parse_metric_name(span: &str) -> Option<RegistryEntry> {
     Some(RegistryEntry {
         base: base.to_string(),
         templated,
+        line,
     })
 }
 

@@ -3,7 +3,7 @@
 //! mechanisms must round-trip. Fixtures are inline strings (never files
 //! on disk) so the workspace sweep itself stays clean.
 
-use gs_lint::lints::{collect_facts, l005, CrateFacts, FileCx};
+use gs_lint::lints::{collect_emitted, collect_facts, l004_unemitted, l005, CrateFacts, FileCx};
 use gs_lint::{lint_source, LintConfig, TelemetryRegistry, L001, L002, L003, L004, L005, L006};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -167,6 +167,35 @@ fn f() {\n\
         found.iter().map(|f| f.line).collect::<Vec<_>>(),
         vec![2, 3, 4]
     );
+}
+
+#[test]
+fn l004_fires_on_registered_names_nothing_emits() {
+    // `gaia.exchange_stall_ns` (DESIGN.md line 3) is emitted only from a
+    // test module and a test file, so no program code emits it
+    let src = "\
+fn f() { counter!(\"gaia.records\", op = \"scan\"; 1); }\n\
+#[cfg(test)]\n\
+mod tests {\n\
+    fn g() { counter!(\"gaia.exchange_stall_ns\"; 1); }\n\
+}\n";
+    let test_file = "fn t() { counter!(\"gaia.exchange_stall_ns\"; 1); }\n";
+    let mut emitted = BTreeSet::new();
+    for (path, is_test_file, text) in [
+        ("crates/gs-gaia/src/x.rs", false, src),
+        ("crates/gs-gaia/tests/t.rs", true, test_file),
+    ] {
+        let lexed = gs_lint::lexer::lex(text);
+        let cx = FileCx::new(path, "gs-gaia", is_test_file, &lexed.tokens, text);
+        collect_emitted(&cx, &mut emitted);
+    }
+    let found = l004_unemitted(&registry(), &emitted);
+    assert_eq!(codes(&found), vec![L004], "{found:?}");
+    assert_eq!((found[0].file.as_str(), found[0].line), ("DESIGN.md", 3));
+    assert!(found[0].message.contains("gaia.exchange_stall_ns"));
+    // once program code emits it, the registry is fully covered
+    emitted.insert("gaia.exchange_stall_ns".into());
+    assert!(l004_unemitted(&registry(), &emitted).is_empty());
 }
 
 // ---------------------------------------------------------------- L005

@@ -3,6 +3,8 @@
 //! Implements §5.2 of the paper: rule-based optimization (EdgeVertexFusion,
 //! FilterPushIntoMatch) and GLogue-style cost-based pattern ordering, then
 //! lowers the logical DAG to a physical plan for either execution engine.
+//! The CBO's statistics are `gs_ir::cost::CostStats`, the same catalog
+//! and selectivity estimator the static cost analysis uses.
 //!
 //! Every optimization can be toggled through [`OptimizerConfig`], which is
 //! how the Fig. 7(e) experiment isolates each rule's contribution.
@@ -10,9 +12,10 @@
 pub mod glogue;
 pub mod rbo;
 
-pub use glogue::{cbo_order, order_cost, GlogueCatalog};
+pub use glogue::{cbo_order, order_cost};
 
 use gs_graph::schema::GraphSchema;
+use gs_ir::cost::CostStats;
 use gs_ir::logical::LogicalPlan;
 use gs_ir::physical::{declaration_order, lower_with, PhysicalPlan};
 use gs_ir::{verify_logical, verify_physical, Result};
@@ -52,7 +55,7 @@ impl OptimizerConfig {
 /// The IR-based optimizer.
 pub struct Optimizer {
     pub config: OptimizerConfig,
-    pub catalog: Option<GlogueCatalog>,
+    pub catalog: Option<CostStats>,
     /// When set, every rewrite rule's output is re-verified against this
     /// schema; a rule that produces an invalid plan fails `optimize` with
     /// the rule's name in the diagnostic (see [`verify_rewrite_logical`]).
@@ -76,7 +79,7 @@ pub fn verify_rewrite_physical(
 
 impl Optimizer {
     /// Full optimization with statistics.
-    pub fn new(catalog: GlogueCatalog) -> Self {
+    pub fn new(catalog: CostStats) -> Self {
         Self {
             config: OptimizerConfig::default(),
             catalog: Some(catalog),
@@ -106,7 +109,7 @@ impl Optimizer {
     }
 
     /// With an explicit config (catalog used only when `config.cbo`).
-    pub fn with_config(config: OptimizerConfig, catalog: Option<GlogueCatalog>) -> Self {
+    pub fn with_config(config: OptimizerConfig, catalog: Option<CostStats>) -> Self {
         Self {
             config,
             catalog,
@@ -228,7 +231,7 @@ mod tests {
         let g = mock();
         let s = schema(&g);
         let plan = triangle_plan(&s);
-        let catalog = GlogueCatalog::build(&g, 100);
+        let catalog = CostStats::build(&g, 100);
         let canon = |mut v: Vec<gs_ir::Record>| {
             v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
             v
@@ -267,13 +270,12 @@ mod tests {
         let g = mock();
         let s = schema(&g);
         let plan = triangle_plan(&s);
-        let catalog = GlogueCatalog::build(&g, 100);
-        let stats = catalog.to_cost_stats();
+        let catalog = CostStats::build(&g, 100);
         let cost = |config: OptimizerConfig| {
             let opt = Optimizer::with_config(config, Some(catalog.clone()));
             cost_physical(
                 &opt.optimize(&plan).unwrap(),
-                Some(&stats),
+                Some(&catalog),
                 &CostBudget::default(),
             )
             .total_est_rows
@@ -317,7 +319,7 @@ mod tests {
         let s = schema(&g);
         let plan = triangle_plan(&s);
         let naive = Optimizer::disabled().optimize(&plan).unwrap();
-        let optimized = Optimizer::new(GlogueCatalog::build(&g, 100))
+        let optimized = Optimizer::new(CostStats::build(&g, 100))
             .optimize(&plan)
             .unwrap();
         assert!(

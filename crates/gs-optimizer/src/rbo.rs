@@ -158,117 +158,85 @@ pub fn push_filters(plan: &LogicalPlan) -> Result<LogicalPlan> {
 /// EdgeVertexFusion on a physical plan: rewrites
 /// `Expand{out: Edge} ; GetVertex{take_dst: true}` pairs whose edge column
 /// is never referenced again into a single fused expand, compacting the
-/// record by one column.
+/// record by one column. The output layout is unchanged: fusion only
+/// fires when a later Project rebuilds the record without the edge.
 pub fn fuse_expand_get_vertex(plan: &PhysicalPlan) -> PhysicalPlan {
     let mut ops = plan.ops.clone();
-    let mut layout = plan.layout.clone();
+    // column kinds of the record entering op `i`
+    let mut kinds = Vec::new();
     let mut i = 0;
-    // track the record width entering each op to locate appended columns
-    'outer: while i + 1 < ops.len() {
-        let widths = widths_before(&ops);
-        let (
-            PhysicalOp::Expand {
-                src_col,
-                src_label,
-                elabel,
-                dir,
-                predicate: epred,
-                out: ExpandOut::Edge,
-            },
-            PhysicalOp::GetVertex {
-                edge_col,
-                label,
-                predicate: vpred,
-                take_dst: true,
-            },
-        ) = (&ops[i], &ops[i + 1])
-        else {
-            i += 1;
-            continue;
-        };
-        let ecol = widths[i]; // the column Expand appends
-        if *edge_col != ecol || epred.is_some() {
-            i += 1;
-            continue;
+    while i + 1 < ops.len() {
+        if let Some((fused, rest)) = fuse_at(&ops, i, kinds.len()) {
+            ops.truncate(i);
+            ops.push(fused);
+            ops.extend(rest);
         }
-        // the edge column must not survive to the plan's output: a later
-        // Project rebuilds the record (and, if it referenced the edge,
-        // remapping below fails); with no Project the edge column flows
-        // straight into the result set and fusing would drop it.
-        if !ops[i + 2..]
-            .iter()
-            .any(|op| matches!(op, PhysicalOp::Project { .. }))
-        {
-            i += 1;
-            continue;
-        }
-        // the edge column must not be referenced by any later op
-        let map = |x: usize| {
-            if x == ecol {
-                None
-            } else if x > ecol {
-                Some(x - 1)
-            } else {
-                Some(x)
-            }
-        };
-        let mut remapped = Vec::with_capacity(ops.len() - i - 2);
-        for later in &ops[i + 2..] {
-            match later.remap_columns(&map) {
-                Some(op) => remapped.push(op),
-                None => {
-                    i += 1;
-                    continue 'outer;
-                }
-            }
-        }
-        let fused = PhysicalOp::Expand {
-            src_col: *src_col,
-            src_label: *src_label,
-            elabel: *elabel,
-            dir: *dir,
-            predicate: vpred.clone(),
-            out: ExpandOut::VertexFused { label: *label },
-        };
-        ops.splice(i..i + 2, std::iter::once(fused));
-        let tail = ops.len() - remapped.len();
-        ops.truncate(tail);
-        ops.extend(remapped);
-        // the final layout loses nothing when later ops survived remapping
-        // (they never referenced the edge column), unless the edge column
-        // itself survived to the output layout — only possible when no
-        // Project follows; rebuild defensively.
-        layout = rebuild_layout_after_fusion(&layout);
+        ops[i].shape(&mut kinds);
         i += 1;
     }
-    PhysicalPlan { ops, layout }
+    PhysicalPlan {
+        ops,
+        layout: plan.layout.clone(),
+    }
 }
 
-/// Record width entering each op (source width 0; each appending op adds 1;
-/// Project resets to its item count).
-fn widths_before(ops: &[PhysicalOp]) -> Vec<usize> {
-    let mut w = 0usize;
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
-        out.push(w);
-        match op {
-            PhysicalOp::Project { items } => w = items.len(),
-            op if op.appends_column() => w += 1,
-            _ => {}
+/// The fused expand replacing `ops[i..i + 2]` and the ops after the pair
+/// with the edge column `ecol` (the column the Expand appends) removed,
+/// if the pair can fuse.
+fn fuse_at(ops: &[PhysicalOp], i: usize, ecol: usize) -> Option<(PhysicalOp, Vec<PhysicalOp>)> {
+    let (
+        PhysicalOp::Expand {
+            src_col,
+            src_label,
+            elabel,
+            dir,
+            predicate: None,
+            out: ExpandOut::Edge,
+        },
+        PhysicalOp::GetVertex {
+            edge_col,
+            label,
+            predicate: vpred,
+            take_dst: true,
+        },
+    ) = (&ops[i], ops.get(i + 1)?)
+    else {
+        return None;
+    };
+    // the edge column must not survive to the plan's output: a later
+    // Project rebuilds the record (and, if it referenced the edge,
+    // remapping below fails); with no Project the edge column flows
+    // straight into the result set and fusing would drop it.
+    if *edge_col != ecol
+        || !ops[i + 2..]
+            .iter()
+            .any(|op| matches!(op, PhysicalOp::Project { .. }))
+    {
+        return None;
+    }
+    // the edge column must not be referenced by any later op
+    let map = |x: usize| {
+        if x == ecol {
+            None
+        } else if x > ecol {
+            Some(x - 1)
+        } else {
+            Some(x)
         }
-    }
-    out
-}
-
-fn rebuild_layout_after_fusion(layout: &gs_ir::record::Layout) -> gs_ir::record::Layout {
-    // Fusion only fires when a later Project rebuilds the record without
-    // the edge column (enforced above), so the output layout is unchanged.
-    // Hook kept for clarity.
-    let mut nl = gs_ir::record::Layout::new();
-    for (i, a) in layout.aliases().enumerate() {
-        let _ = nl.push(a, layout.kind(i).clone());
-    }
-    nl
+    };
+    let rest = ops[i + 2..]
+        .iter()
+        .map(|later| later.remap_columns(&map))
+        .collect::<Option<Vec<_>>>()?;
+    let fused = PhysicalOp::Expand {
+        src_col: *src_col,
+        src_label: *src_label,
+        elabel: *elabel,
+        dir: *dir,
+        predicate: vpred.clone(),
+        out: ExpandOut::VertexFused { label: *label },
+    };
+    Some((fused, rest))
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use std::time::Instant;
 
 use gs_graph::{GraphError, Result, Value};
 use gs_grin::GrinGraph;
-use gs_ir::cost::{cost_physical, CostReport, CostStats};
+use gs_ir::cost::{cost_physical, CostReport};
 use gs_ir::{PreparedQuery, QueryEngine, Record};
 use gs_lang::{bind_values, statement_key, Frontend, StatementKey};
 use gs_optimizer::Optimizer;
@@ -176,9 +176,6 @@ pub struct Server {
     /// Keyed by (template key, binds digest, data version).
     results: LruCache<(u64, u64, u64), Arc<Vec<Record>>>,
     admission: AdmissionController,
-    /// Statistics for static plan costing, snapshotted from the
-    /// optimizer's catalog at construction.
-    cost_stats: Option<CostStats>,
     cost_shed: AtomicU64,
     cost_demoted: AtomicU64,
     executed: AtomicU64,
@@ -210,7 +207,6 @@ impl Server {
             plans: LruCache::new("serve.plan_cache", config.plan_cache_capacity),
             results: LruCache::new("serve.result_cache", config.result_cache_capacity),
             admission: AdmissionController::new(config.admission.clone()),
-            cost_stats: optimizer.catalog.as_ref().map(|c| c.to_cost_stats()),
             engine,
             store,
             optimizer,
@@ -300,7 +296,7 @@ impl Server {
             .as_ref()
             .map(|g| g.budget)
             .unwrap_or_default();
-        let cost = cost_physical(&compiled.physical, self.cost_stats.as_ref(), &budget);
+        let cost = cost_physical(&compiled.physical, self.optimizer.catalog.as_ref(), &budget);
         let entry = Arc::new(PlanEntry { prepared, cost });
         if self.config.cache_plans {
             self.plans.insert(pkey, Arc::clone(&entry));

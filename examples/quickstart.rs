@@ -79,7 +79,7 @@ fn main() -> gs_graph::Result<()> {
     let plan_g = parse_gremlin(gremlin, &schema)?;
 
     // one optimizer + one engine serve both front-ends
-    let optimizer = Optimizer::new(GlogueCatalog::build(&store, 100));
+    let optimizer = Optimizer::new(CostStats::build(&store, 100));
     let gaia = GaiaEngine::new(2);
 
     let rows = gaia.execute(&optimizer.optimize(&plan_c)?, &store)?;

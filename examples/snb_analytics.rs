@@ -22,7 +22,7 @@ fn main() -> gs_graph::Result<()> {
     let store = VineyardGraph::build(&social.data)?;
     let schema = social.data.schema.clone();
 
-    let catalog = GlogueCatalog::build(&store, 500);
+    let catalog = CostStats::build(&store, 500);
     let optimizer = Optimizer::new(catalog);
     let gaia = GaiaEngine::new(4);
     let params = BiParams::default();

@@ -50,9 +50,9 @@ pub mod prelude {
     pub use gs_graph::{PropertyGraphData, VId, Value, ValueType};
     pub use gs_grin::{Capabilities, Direction, GrinGraph};
     pub use gs_hiactor::QueryService;
-    pub use gs_ir::{Expr, PlanBuilder, PreparedQuery, QueryEngine, ReferenceEngine};
+    pub use gs_ir::{CostStats, Expr, PlanBuilder, PreparedQuery, QueryEngine, ReferenceEngine};
     pub use gs_lang::{parse_cypher, parse_gremlin, CompiledQuery, Frontend};
-    pub use gs_optimizer::{GlogueCatalog, Optimizer};
+    pub use gs_optimizer::Optimizer;
     pub use gs_serve::{
         GartServeStore, Priority, ServeConfig, ServeStore, Server, StaticServeStore,
     };

@@ -11,8 +11,7 @@ use gs_ir::exec::execute_traced;
 use gs_ir::expr::{BinOp, Expr};
 use gs_ir::logical::ProjectItem;
 use gs_ir::physical::{ExpandOut, PhysicalOp, PhysicalPlan};
-use gs_ir::{AggFunc, Layout};
-use gs_optimizer::GlogueCatalog;
+use gs_ir::{AggFunc, CostStats, Layout};
 use proptest::prelude::*;
 
 const V: gs_graph::LabelId = gs_graph::LabelId(0);
@@ -134,7 +133,7 @@ proptest! {
     #[test]
     fn actuals_fall_within_predicted_intervals(seed in 0u64..1000, scale in 3u32..6) {
         let g = rmat_mock(scale, 4, seed);
-        let stats = GlogueCatalog::build(&g, 64).to_cost_stats();
+        let stats = CostStats::build(&g, 64);
         let budget = CostBudget::default();
         for (name, p) in plans() {
             let cost = cost_physical(&p, Some(&stats), &budget);

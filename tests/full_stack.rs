@@ -18,7 +18,7 @@ fn cypher_to_gaia_on_vineyard() {
     let q = "MATCH (a:Person)-[:KNOWS]-(b:Person)-[:KNOWS]-(c:Person) \
              WHERE a.browserUsed = 'Firefox' \
              RETURN b, COUNT(c) AS reach ORDER BY reach DESC, b LIMIT 10";
-    let optimizer = Optimizer::new(GlogueCatalog::build(&store, 200));
+    let optimizer = Optimizer::new(CostStats::build(&store, 200));
     let compiled = Frontend::Cypher
         .compile_with(q, &schema, &HashMap::new(), &optimizer)
         .unwrap();

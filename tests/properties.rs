@@ -127,7 +127,7 @@ proptest! {
         );
         let plan = parse_cypher(&q, &schema, &Default::default()).unwrap();
         let baseline = run(&ReferenceEngine::default(), &lower_naive(&plan).unwrap(), &store);
-        let optimized = Optimizer::new(GlogueCatalog::build(&store, 50))
+        let optimized = Optimizer::new(CostStats::build(&store, 50))
             .optimize(&plan)
             .unwrap();
         let opt = run(&ReferenceEngine::default(), &optimized, &store);
