@@ -334,10 +334,13 @@ mod tests {
 
     #[test]
     fn tiny_run_is_consistent_and_serializes() {
-        // under `--features chaos` the chaos corpus test installs a global
-        // fault plan that would kill this run's GRAPE workers; hold the
-        // chaos gate so no plan is installed while it runs
+        // under `--features chaos` a chaos test could install a global
+        // fault plan that would kill this run's GRAPE workers, and under
+        // `--features sanitize` the sanitizer corpus test records every
+        // tracked channel in the process; hold both gates (chaos first,
+        // then sanitizer) so neither window sees this run
         let _no_faults = gs_chaos::exclusive();
+        let _no_sanitizer = gs_sanitizer::exclusive();
         let cfg = AnalyticsConfig {
             seed: 7,
             scale: 8,

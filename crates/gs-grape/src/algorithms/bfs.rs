@@ -48,9 +48,6 @@ impl PregelProgram for Bfs {
 
 /// BFS depths from `src` (u64::MAX when unreachable), indexed by global id.
 pub fn bfs(engine: &GrapeEngine, src: VId) -> Vec<u64> {
-    // Default::default() for u64 is 0, which would mislabel unreached
-    // vertices; map through an explicit run instead.
-
     run_pregel(engine, &Bfs { src }, engine.global_n() + 2)
 }
 

@@ -5,15 +5,13 @@
 //! `rank/out_degree` along out-edges through the aggregated message
 //! buffers. Fixed iteration count per Graphalytics.
 
-use crate::engine::{ClusterAborted, CommHandle, GrapeEngine};
+use crate::engine::{CommHandle, GrapeEngine};
 use crate::fragment::Fragment;
 use crate::messages::OutBuffers;
-use crate::recover::{checkpoint, run_recoverable, CheckpointStore, RecoveryConfig};
+use crate::recover::{checkpoint, CheckpointStore};
 
 /// One PageRank iteration over a fragment: push shares, all-reduce the
-/// dangling mass, exchange, and recombine. Shared by the plain and the
-/// recoverable drivers so a restarted run replays the identical
-/// arithmetic of an uninterrupted one.
+/// dangling mass, exchange, and recombine.
 fn pagerank_step(
     frag: &Fragment,
     comm: &CommHandle,
@@ -22,7 +20,7 @@ fn pagerank_step(
     rank: &mut [f64],
     recv: &mut [f64],
     out: &mut OutBuffers,
-) -> Result<(), ClusterAborted> {
+) {
     let inner = frag.inner_count;
     // push shares along out edges
     let mut dangling_local = 0.0;
@@ -38,8 +36,8 @@ fn pagerank_step(
             out.send(frag.owner(g).index(), g, share);
         });
     }
-    let dangling = comm.try_allreduce_f64(dangling_local)?;
-    let (blocks, _) = comm.try_exchange(out)?;
+    let dangling = comm.allreduce_f64(dangling_local);
+    let (blocks, _) = comm.exchange(out);
     recv.iter_mut().for_each(|x| *x = 0.0);
     for b in &blocks {
         b.for_each::<f64>(|g, share| {
@@ -51,49 +49,31 @@ fn pagerank_step(
     for l in 0..inner {
         rank[l] = base + damping * recv[l];
     }
-    Ok(())
 }
 
 /// Runs `iters` PageRank iterations with the given damping factor; returns
 /// ranks indexed by global id (summing to ~1). With
 /// [`GrapeEngine::with_recovery`] armed, runs under checkpoint/restart.
 pub fn pagerank(engine: &GrapeEngine, damping: f64, iters: usize) -> Vec<f64> {
-    if let Some(cfg) = engine.recovery.clone() {
-        let store = CheckpointStore::new();
-        return pagerank_recoverable(engine, damping, iters, &cfg, &store);
-    }
-    let n = engine.global_n();
-    engine.run(|frag, comm| {
-        let inner = frag.inner_count;
-        let mut rank = vec![1.0 / n as f64; inner];
-        let mut recv = vec![0.0f64; inner];
-        let mut out = OutBuffers::new(comm.workers);
-        for step in 0..iters {
-            gs_chaos::worker_kill_point(comm.my_id, step);
-            pagerank_step(frag, comm, n, damping, &mut rank, &mut recv, &mut out)
-                .expect("pagerank step aborted");
-        }
-        (0..inner as u32)
-            .map(|l| (frag.global(l), rank[l as usize]))
-            .collect()
-    })
+    pagerank_recoverable(engine, damping, iters, &CheckpointStore::new())
 }
 
-/// PageRank under coordinated checkpoint/restart: snapshots the per-
-/// fragment ranks every `cfg.interval` iterations into `store`, detects
-/// dead workers and lost messages, and restarts all workers from the last
-/// committed checkpoint. The replayed arithmetic is identical — the global
-/// dangling-mass f64 reduction folds contributions in a canonical order —
-/// so a faulted run reproduces the uninterrupted ranks bit-for-bit.
+/// [`pagerank`] over an explicit checkpoint store: each worker resumes
+/// from `store`'s last committed checkpoint, if any, and — with
+/// [`GrapeEngine::with_recovery`] armed — snapshots its ranks into `store`
+/// every `interval` iterations. The store may outlive the engine, so a
+/// fresh engine can finish a run another one checkpointed. The replayed
+/// arithmetic is identical — the global dangling-mass f64 reduction folds
+/// contributions in a canonical order — so a resumed run reproduces the
+/// uninterrupted ranks bit-for-bit.
 pub fn pagerank_recoverable(
     engine: &GrapeEngine,
     damping: f64,
     iters: usize,
-    cfg: &RecoveryConfig,
     store: &CheckpointStore<Vec<f64>>,
 ) -> Vec<f64> {
     let n = engine.global_n();
-    run_recoverable(engine, cfg, |frag, comm, _attempt| {
+    engine.run(|frag, comm| {
         let inner = frag.inner_count;
         let idx = frag.id.index();
         let (start, mut rank) = match store.restore(idx) {
@@ -104,16 +84,14 @@ pub fn pagerank_recoverable(
         let mut out = OutBuffers::new(comm.workers);
         for step in start..iters {
             gs_chaos::worker_kill_point(comm.my_id, step);
-            pagerank_step(frag, comm, n, damping, &mut rank, &mut recv, &mut out)?;
-            // gate on globally agreed values only: every worker makes the
-            // identical collective sequence
-            if cfg.interval > 0 && (step + 1) % cfg.interval == 0 && step + 1 < iters {
-                checkpoint(comm, store, idx, step, rank.clone())?;
+            pagerank_step(frag, comm, n, damping, &mut rank, &mut recv, &mut out);
+            if engine.checkpoint_due(step, iters) {
+                checkpoint(comm, store, idx, step, rank.clone());
             }
         }
-        Ok((0..inner as u32)
+        (0..inner as u32)
             .map(|l| (frag.global(l), rank[l as usize]))
-            .collect())
+            .collect()
     })
 }
 

@@ -2,37 +2,44 @@
 //! threads, all-to-all compact-buffer message exchange, and barrier-based
 //! global reductions.
 //!
-//! Collectives and exchanges come in two flavors: the infallible methods
-//! ([`CommHandle::exchange`], [`CommHandle::allreduce`]) assume a healthy
-//! cluster and panic if it dies, and the `try_` variants return
-//! [`ClusterAborted`] so the [`recover`](crate::recover) layer can detect
-//! a lost worker or lost message, tear the attempt down, and restart from
-//! the last coordinated checkpoint.
+//! One driver runs every program: [`GrapeEngine::run`]. Each worker runs
+//! under `catch_unwind`, and a worker that unwinds poisons the cluster's
+//! [`GlobalSync`], so its peers leave their collectives promptly instead of
+//! waiting on a block that will never come. The collectives themselves
+//! ([`CommHandle::exchange`], [`CommHandle::allreduce`]) have one
+//! infallible signature: on a dead cluster they unwind with a
+//! [`ClusterAborted`] payload, the way injected kills unwind with
+//! [`gs_chaos::ChaosUnwind`]. The driver re-raises any other payload on the
+//! caller; with [`GrapeEngine::with_recovery`] armed it restarts an aborted
+//! run (Pregel and PageRank resume from their last coordinated
+//! checkpoint, see [`recover`](crate::recover)), and unarmed it panics
+//! naming the cause.
 
 use crate::fragment::Fragment;
 use crate::messages::{MessageBlock, OutBuffers, Payload};
+use crate::recover::{checkpoint, CheckpointStore};
 use gs_graph::VId;
 use gs_sanitizer::channel::{unbounded, RecvTimeoutError, TrackedReceiver, TrackedSender};
 use gs_telemetry::counter;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 // gs-lint: allow(L001 GlobalSync pairs the mutex with a Condvar, which has no tracked equivalent; the sanitizer's channel events already cover this rendezvous)
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A collective or exchange observed the cluster dying mid-operation: a
 /// peer worker was killed, a message was lost, or the cluster was poisoned
-/// by another worker's failure. The current attempt's results are void;
-/// the recovery layer restarts from the last checkpoint.
+/// by another worker's failure. Collectives unwind with this payload; the
+/// driver voids the attempt and, when recovery is armed, restarts it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterAborted(pub &'static str);
 
-impl std::fmt::Display for ClusterAborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cluster aborted: {}", self.0)
-    }
+/// Leaves the current collective with a [`ClusterAborted`] payload for the
+/// driver to catch. `resume_unwind` skips the panic hook, so an abort
+/// prints nothing.
+fn abort(why: &'static str) -> ! {
+    resume_unwind(Box::new(ClusterAborted(why)))
 }
-
-impl std::error::Error for ClusterAborted {}
 
 /// Poll granularity for poison checks while blocked in a collective or an
 /// exchange. Purely a responsiveness bound — correctness never depends on
@@ -68,26 +75,23 @@ struct SyncState {
 /// Unlike a plain barrier, the round map tolerates skew (a fast worker may
 /// enter round `r+1` while a slow one still sits in `r`) and failure: any
 /// worker — or the engine's dead-worker detector — can [`poison`] the
-/// sync, which promptly unblocks every waiter with [`ClusterAborted`]
+/// sync, which promptly unwinds every waiter with [`ClusterAborted`]
 /// instead of deadlocking on a peer that will never arrive.
 ///
 /// [`poison`]: GlobalSync::poison
 pub struct GlobalSync {
     workers: usize,
-    /// `Some(d)` arms dead-worker detection: a reduction that makes no
-    /// progress for `d` poisons the cluster instead of waiting forever.
+    /// `Some(d)` arms dead-worker / lost-message detection: a reduction or
+    /// an exchange that makes no progress for `d` poisons the cluster
+    /// instead of waiting forever.
     detect: Option<Duration>,
     state: Mutex<SyncState>,
     cv: Condvar,
 }
 
 impl GlobalSync {
-    pub fn new(workers: usize) -> Arc<Self> {
-        Self::new_with(workers, None)
-    }
-
-    /// A sync with dead-worker detection armed (used by recoverable runs).
-    pub fn new_with(workers: usize, detect: Option<Duration>) -> Arc<Self> {
+    /// A sync over `workers` workers; `detect` arms dead-worker detection.
+    pub fn new(workers: usize, detect: Option<Duration>) -> Arc<Self> {
         Arc::new(Self {
             workers,
             detect,
@@ -99,8 +103,9 @@ impl GlobalSync {
         })
     }
 
-    /// Marks the cluster dead: every blocked or future collective returns
-    /// [`ClusterAborted`] immediately. Idempotent; the first cause wins.
+    /// Marks the cluster dead: every blocked or future collective unwinds
+    /// with [`ClusterAborted`] immediately. Idempotent; the first cause
+    /// wins.
     pub fn poison(&self, why: &'static str) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.poisoned.is_none() {
@@ -128,18 +133,18 @@ impl GlobalSync {
             .len()
     }
 
-    /// The fallible core: contributes to round `round` and waits for all
-    /// workers, polling for poison (and, when armed, for a dead worker).
-    pub fn try_reduce(
-        &self,
-        round: u64,
-        contribution: u64,
-        contribution_f: f64,
-    ) -> Result<(u64, f64), ClusterAborted> {
+    /// Contributes `(contribution, contribution_f)` to collective round
+    /// `round` and waits for every worker; returns the round's u64 and f64
+    /// sums. Every worker must call with the same monotonically increasing
+    /// round number (see [`CommHandle::allreduce`], which manages the
+    /// counter). Unwinds with [`ClusterAborted`] if the cluster is
+    /// poisoned or, when detection is armed, a worker stalls.
+    pub fn reduce(&self, round: u64, contribution: u64, contribution_f: f64) -> (u64, f64) {
         let deadline = self.detect.map(|d| Instant::now() + d);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(why) = st.poisoned {
-            return Err(ClusterAborted(why));
+            drop(st);
+            abort(why);
         }
         {
             let e = st.rounds.entry(round).or_default();
@@ -156,17 +161,17 @@ impl GlobalSync {
         }
         loop {
             if let Some(why) = st.poisoned {
-                return Err(ClusterAborted(why));
+                drop(st);
+                abort(why);
             }
             if st.rounds.get(&round).map_or(0, |e| e.arrived) >= self.workers {
                 break;
             }
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    st.poisoned = Some("allreduce stalled: worker lost");
-                    self.cv.notify_all();
-                    return Err(ClusterAborted("allreduce stalled: worker lost"));
-                }
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                st.poisoned = Some("allreduce stalled: worker lost");
+                self.cv.notify_all();
+                drop(st);
+                abort("allreduce stalled: worker lost");
             }
             let (guard, _) = self
                 .cv
@@ -181,23 +186,7 @@ impl GlobalSync {
             // last one out prunes the round — the map stays bounded
             st.rounds.remove(&round);
         }
-        Ok(out)
-    }
-
-    /// All-reduce sum at a given collective round. Every worker must call
-    /// with the same monotonically increasing round number (see
-    /// [`CommHandle::allreduce`], which manages the counter).
-    pub fn sum_at(&self, round: u64, contribution: u64) -> u64 {
-        self.try_reduce(round, contribution, 0.0)
-            .expect("global sync aborted")
-            .0
-    }
-
-    /// f64 all-reduce at a collective round (PageRank dangling mass).
-    pub fn sum_f64_at(&self, round: u64, contribution: f64) -> f64 {
-        self.try_reduce(round, 0, contribution)
-            .expect("global sync aborted")
-            .1
+        out
     }
 }
 
@@ -226,21 +215,14 @@ pub struct CommHandle {
     /// flushed at this worker's next collective so a peer still waiting on
     /// that round receives them late but correctly filed.
     delayed: std::cell::RefCell<Vec<(usize, u64, MessageBlock)>>,
-    /// `Some(d)` arms message-loss detection: an exchange that makes no
-    /// receive progress for `d` poisons the cluster and aborts.
-    detect: Option<Duration>,
 }
 
 impl CommHandle {
-    /// Builds a `k`-worker cluster of connected handles.
-    pub fn cluster(k: usize) -> Vec<CommHandle> {
-        Self::cluster_with(k, None)
-    }
-
-    /// Builds a cluster with dead-worker / lost-message detection armed:
-    /// any collective or exchange stalled past `detect` poisons the
-    /// cluster and surfaces [`ClusterAborted`] on every worker.
-    pub fn cluster_with(k: usize, detect: Option<Duration>) -> Vec<CommHandle> {
+    /// Builds a `k`-worker cluster of connected handles. `detect` arms
+    /// dead-worker / lost-message detection: any collective or exchange
+    /// stalled past it poisons the cluster and unwinds every worker with
+    /// [`ClusterAborted`]. Unarmed, a slow worker is never declared dead.
+    pub fn cluster(k: usize, detect: Option<Duration>) -> Vec<CommHandle> {
         let mut senders = Vec::with_capacity(k);
         let mut receivers = Vec::with_capacity(k);
         for _ in 0..k {
@@ -248,7 +230,7 @@ impl CommHandle {
             senders.push(tx);
             receivers.push(rx);
         }
-        let sync = GlobalSync::new_with(k, detect);
+        let sync = GlobalSync::new(k, detect);
         receivers
             .into_iter()
             .enumerate()
@@ -262,7 +244,6 @@ impl CommHandle {
                 xround: std::cell::Cell::new(0),
                 ahead: std::cell::RefCell::new(HashMap::new()),
                 delayed: std::cell::RefCell::new(Vec::new()),
-                detect,
             })
             .collect()
     }
@@ -276,54 +257,41 @@ impl CommHandle {
         }
     }
 
-    /// Collective all-reduce sum (u64); panics if the cluster aborts.
+    /// One collective round of [`GlobalSync::reduce`].
+    fn reduce(&self, contribution: u64, contribution_f: f64) -> (u64, f64) {
+        self.flush_delayed();
+        let r = self.round.get();
+        self.round.set(r + 1);
+        self.sync.reduce(r, contribution, contribution_f)
+    }
+
+    /// Collective all-reduce sum (u64). Unwinds with [`ClusterAborted`] if
+    /// the cluster dies.
     pub fn allreduce(&self, contribution: u64) -> u64 {
-        self.try_allreduce(contribution).expect("allreduce aborted")
+        self.reduce(contribution, 0.0).0
     }
 
-    /// Collective all-reduce sum (f64); panics if the cluster aborts.
+    /// Collective all-reduce sum (f64), folded in a canonical order so the
+    /// result is bit-identical across runs. Unwinds with
+    /// [`ClusterAborted`] if the cluster dies.
     pub fn allreduce_f64(&self, contribution: f64) -> f64 {
-        self.try_allreduce_f64(contribution)
-            .expect("allreduce aborted")
-    }
-
-    /// Fallible all-reduce sum (u64).
-    pub fn try_allreduce(&self, contribution: u64) -> Result<u64, ClusterAborted> {
-        self.flush_delayed();
-        let r = self.round.get();
-        self.round.set(r + 1);
-        Ok(self.sync.try_reduce(r, contribution, 0.0)?.0)
-    }
-
-    /// Fallible all-reduce sum (f64).
-    pub fn try_allreduce_f64(&self, contribution: f64) -> Result<f64, ClusterAborted> {
-        self.flush_delayed();
-        let r = self.round.get();
-        self.round.set(r + 1);
-        Ok(self.sync.try_reduce(r, 0, contribution)?.1)
+        self.reduce(0, contribution).1
     }
 
     /// All-to-all exchange: sends one block to every worker (including
     /// self), receives exactly one block *from* every worker for this
     /// round. Returns the received blocks (indexed by sender) and the total
-    /// message count delivered to *this* worker. Panics if the cluster
-    /// aborts mid-exchange.
+    /// message count delivered to *this* worker.
+    ///
+    /// Under an installed fault plan the outgoing side consults
+    /// [`gs_chaos::message_fault`] per block (self-delivery is exempt — a
+    /// worker cannot lose a message to itself); the receiving side files
+    /// packets by round tag, dropping duplicates and stale retransmits and
+    /// stashing early arrivals. The receive loop polls for poison, so a
+    /// dead peer unwinds this worker with [`ClusterAborted`]; with
+    /// detection armed, a dropped block shows as no receive progress for
+    /// the detection window, which poisons the cluster the same way.
     pub fn exchange(&self, out: &mut OutBuffers) -> (Vec<MessageBlock>, u64) {
-        self.try_exchange(out).expect("exchange aborted")
-    }
-
-    /// Fallible all-to-all exchange. Under an installed fault plan the
-    /// outgoing side consults [`gs_chaos::message_fault`] per block
-    /// (self-delivery is exempt — a worker cannot lose a message to
-    /// itself); the receiving side files packets by round tag, dropping
-    /// duplicates and stale retransmits and stashing early arrivals. A
-    /// dropped block manifests as no receive progress for the detection
-    /// window, which poisons the cluster so every worker aborts and the
-    /// recovery layer can restart from the last checkpoint.
-    pub fn try_exchange(
-        &self,
-        out: &mut OutBuffers,
-    ) -> Result<(Vec<MessageBlock>, u64), ClusterAborted> {
         let round = self.xround.get();
         self.xround.set(round + 1);
         self.flush_delayed();
@@ -361,41 +329,34 @@ impl CommHandle {
             .unwrap_or_else(|| (0..self.workers).map(|_| None).collect());
         let mut got = incoming.iter().filter(|b| b.is_some()).count();
         let stall_start = gs_telemetry::enabled().then(Instant::now);
-        let mut deadline = self.detect.map(|d| Instant::now() + d);
+        let detect = self.sync.detect;
+        let mut deadline = detect.map(|d| Instant::now() + d);
         while got < self.workers {
-            let packet = if self.detect.is_some() {
-                if let Some(why) = self.sync.poisoned() {
-                    return Err(ClusterAborted(why));
-                }
-                let dl = deadline.expect("deadline set with detect");
-                let now = Instant::now();
-                if now >= dl {
-                    self.sync
-                        .poison("exchange stalled: message lost or worker dead");
-                    return Err(ClusterAborted(
-                        "exchange stalled: message lost or worker dead",
-                    ));
-                }
-                match self.receiver.recv_timeout(POLL.min(dl - now)) {
-                    Ok(p) => p,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.sync.poison("exchange channel disconnected");
-                        return Err(ClusterAborted("exchange channel disconnected"));
+            if let Some(why) = self.sync.poisoned() {
+                abort(why);
+            }
+            let wait = match deadline {
+                Some(dl) => {
+                    let now = Instant::now();
+                    if now >= dl {
+                        const STALLED: &str = "exchange stalled: message lost or worker dead";
+                        self.sync.poison(STALLED);
+                        abort(STALLED);
                     }
+                    POLL.min(dl - now)
                 }
-            } else {
-                match self.receiver.recv() {
-                    Ok(p) => p,
-                    Err(_) => {
-                        self.sync.poison("exchange channel disconnected");
-                        return Err(ClusterAborted("exchange channel disconnected"));
-                    }
+                None => POLL,
+            };
+            let (from, r, block) = match self.receiver.recv_timeout(wait) {
+                Ok(p) => p,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.sync.poison("exchange channel disconnected");
+                    abort("exchange channel disconnected");
                 }
             };
-            let (from, r, block) = packet;
             // any receive is progress: push the loss-detection deadline out
-            deadline = self.detect.map(|d| Instant::now() + d);
+            deadline = detect.map(|d| Instant::now() + d);
             match r.cmp(&round) {
                 std::cmp::Ordering::Less => {
                     // stale retransmit of a round this worker completed
@@ -427,7 +388,7 @@ impl CommHandle {
             .map(|b| b.expect("one per sender"))
             .collect();
         let count = incoming.iter().map(|b| b.count).sum();
-        Ok((incoming, count))
+        (incoming, count)
     }
 }
 
@@ -435,10 +396,10 @@ impl CommHandle {
 /// worker thread per fragment.
 pub struct GrapeEngine {
     pub fragments: Vec<Fragment>,
-    /// When set, programs that support it (Pregel, PageRank) run under the
-    /// [`recover`](crate::recover) layer: coordinated checkpoints every
-    /// `interval` supersteps, dead-worker detection, restart from the last
-    /// checkpoint instead of crashing.
+    /// When set, [`run`](Self::run) arms dead-worker / lost-message
+    /// detection and restarts an aborted run instead of panicking; Pregel
+    /// and PageRank also checkpoint every `interval` supersteps and resume
+    /// from the last checkpoint (see [`recover`](crate::recover)).
     pub recovery: Option<crate::recover::RecoveryConfig>,
 }
 
@@ -495,10 +456,21 @@ impl GrapeEngine {
             .map_or(gs_graph::LayoutKind::Csr, |f| f.layout())
     }
 
-    /// Arms checkpoint/restart recovery for the programs that support it.
+    /// Arms detection and restart for every program, and coordinated
+    /// checkpoints for Pregel and PageRank.
     pub fn with_recovery(mut self, cfg: crate::recover::RecoveryConfig) -> Self {
         self.recovery = Some(cfg);
         self
+    }
+
+    /// Whether a coordinated checkpoint follows superstep `step` of a
+    /// `steps`-step run: recovery is armed and `step` closes an interval
+    /// before the last step. It reads only values every worker agrees on,
+    /// so all workers make the identical collective sequence.
+    pub(crate) fn checkpoint_due(&self, step: usize, steps: usize) -> bool {
+        self.recovery.as_ref().is_some_and(|c| {
+            c.interval > 0 && (step + 1).is_multiple_of(c.interval) && step + 1 < steps
+        })
     }
 
     /// Global vertex count.
@@ -509,34 +481,77 @@ impl GrapeEngine {
     /// Runs a per-fragment worker function in parallel and gathers each
     /// fragment's `(global id, value)` results into one global vector.
     /// The worker receives `(fragment, comm)`.
+    ///
+    /// Every worker runs under `catch_unwind`; one that unwinds poisons
+    /// the cluster so its peers abort their collectives. Once all workers
+    /// have joined, a payload that is neither [`gs_chaos::ChaosUnwind`] nor
+    /// [`ClusterAborted`] (a genuine bug) is re-raised here, never retried.
+    /// Otherwise an aborted run restarts from scratch (the worker restores
+    /// its own state from any checkpoint it keeps) when recovery is armed,
+    /// and panics naming the cause when it is not.
     pub fn run<T, F>(&self, worker: F) -> Vec<T>
     where
         T: Clone + Default + Send + 'static,
         F: Fn(&Fragment, &CommHandle) -> Vec<(VId, T)> + Sync,
     {
+        gs_chaos::silence_chaos_panics();
         let k = self.fragments.len();
-        let comms = CommHandle::cluster(k);
-        let results: Vec<Vec<(VId, T)>> = crossbeam::thread::scope(|s| {
-            let worker = &worker;
-            let handles: Vec<_> = self
-                .fragments
-                .iter()
-                .zip(comms)
-                .map(|(frag, comm)| s.spawn(move |_| worker(frag, &comm)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grape worker panicked"))
-                .collect()
-        })
-        .expect("grape scope");
-        let mut global = vec![T::default(); self.global_n()];
-        for part in results {
-            for (g, v) in part {
-                global[g.index()] = v;
+        let detect = self.recovery.as_ref().map(|c| c.detect_timeout);
+        let max_restarts = self.recovery.as_ref().map_or(0, |c| c.max_restarts);
+        for _ in 0..=max_restarts {
+            let comms = CommHandle::cluster(k, detect);
+            let sync = comms.first().map(|c| Arc::clone(&c.sync));
+            let results = crossbeam::thread::scope(|s| {
+                let worker = &worker;
+                let handles: Vec<_> = self
+                    .fragments
+                    .iter()
+                    .zip(comms)
+                    .map(|(frag, comm)| {
+                        s.spawn(move |_| {
+                            catch_unwind(AssertUnwindSafe(|| worker(frag, &comm))).inspect_err(
+                                |payload| {
+                                    // unblock the peers before this thread exits
+                                    let why = payload
+                                        .downcast_ref::<gs_chaos::ChaosUnwind>()
+                                        .map_or("peer worker panicked", |c| c.0);
+                                    comm.sync.poison(why);
+                                },
+                            )
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panics are caught"))
+                    .collect::<Vec<_>>()
+            })
+            .expect("grape scope");
+
+            let mut parts = Vec::with_capacity(k);
+            for r in results {
+                match r {
+                    Ok(part) => parts.push(part),
+                    Err(payload)
+                        if gs_chaos::is_chaos_unwind(payload.as_ref())
+                            || payload.is::<ClusterAborted>() => {}
+                    Err(payload) => resume_unwind(payload),
+                }
             }
+            if parts.len() == k {
+                let mut global = vec![T::default(); self.global_n()];
+                for (g, v) in parts.into_iter().flatten() {
+                    global[g.index()] = v;
+                }
+                return global;
+            }
+            let why = sync.and_then(|s| s.poisoned()).unwrap_or("worker lost");
+            if self.recovery.is_none() {
+                panic!("grape run aborted: {why}");
+            }
+            counter!("grape.recovery.restarts");
         }
-        global
+        panic!("grape recovery: attempt budget exhausted after {max_restarts} restarts");
     }
 }
 
@@ -595,27 +610,36 @@ impl<'a, M: Payload> PregelContext<'a, M> {
     }
 }
 
+/// One fragment's Pregel state at a superstep boundary — what a
+/// coordinated checkpoint saves and a restarted worker restores.
+#[derive(Clone)]
+struct PregelState<M, V> {
+    values: Vec<V>,
+    active: Vec<bool>,
+    inboxes: Vec<Vec<M>>,
+}
+
 /// One Pregel superstep over a fragment: compute phase, exchange, inbox
-/// fill (with combining), and the global termination reduction. Shared by
-/// the plain and the recoverable drivers so both execute the byte-
-/// identical per-step logic. Returns `Ok(true)` to continue, `Ok(false)`
-/// on global termination.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pregel_step<P: PregelProgram>(
+/// fill (with combining), and the global termination reduction. Returns
+/// `true` to continue, `false` on global termination.
+fn pregel_step<P: PregelProgram>(
     program: &P,
     frag: &Fragment,
     comm: &CommHandle,
     step: usize,
-    values: &mut [P::Value],
-    active: &mut [bool],
-    inboxes: &mut [Vec<P::Msg>],
+    st: &mut PregelState<P::Msg, P::Value>,
     out: &mut OutBuffers,
-) -> Result<bool, ClusterAborted> {
+) -> bool {
     let n_inner = frag.inner_count;
     if comm.my_id == 0 {
         // one worker counts supersteps for the whole cluster
         counter!("grape.supersteps");
     }
+    let PregelState {
+        values,
+        active,
+        inboxes,
+    } = st;
     // compute phase
     let mut local_active = 0u64;
     for l in 0..n_inner {
@@ -636,7 +660,7 @@ pub(crate) fn pregel_step<P: PregelProgram>(
     }
     // exchange phase
     let sent = out.total();
-    let (blocks, _received) = comm.try_exchange(out)?;
+    let (blocks, _received) = comm.exchange(out);
     for block in &blocks {
         block.for_each::<P::Msg>(|g, m| {
             let l = frag.local(g).expect("message routed to owner") as usize;
@@ -655,50 +679,50 @@ pub(crate) fn pregel_step<P: PregelProgram>(
         });
     }
     // global termination: nobody active, nothing in flight
-    let global_pending = comm.try_allreduce(local_active + sent)?;
-    Ok(global_pending != 0)
+    comm.allreduce(local_active + sent) != 0
 }
 
 /// Runs a Pregel program to fixpoint (or `max_steps`), returning per-vertex
 /// values indexed by global id. With [`GrapeEngine::with_recovery`] armed,
-/// delegates to the checkpoint/restart driver in [`recover`](crate::recover).
+/// every worker checkpoints its values, active flags and inboxes every
+/// `interval` supersteps, and a restarted run resumes from the last
+/// committed checkpoint.
 pub fn run_pregel<P: PregelProgram>(
     engine: &GrapeEngine,
     program: &P,
     max_steps: usize,
 ) -> Vec<P::Value> {
-    if let Some(cfg) = engine.recovery.clone() {
-        let store = crate::recover::CheckpointStore::new();
-        return crate::recover::run_pregel_recoverable(engine, program, max_steps, &cfg, &store);
-    }
+    let store = CheckpointStore::new();
     engine.run(|frag, comm| {
         let n_inner = frag.inner_count;
-        let mut values: Vec<P::Value> = (0..n_inner)
-            .map(|l| program.init(frag.global(l as u32), frag))
-            .collect();
-        let mut active = vec![true; n_inner];
-        let mut inboxes: Vec<Vec<P::Msg>> = vec![Vec::new(); n_inner];
+        let idx = frag.id.index();
+        let (start, mut st) = match store.restore(idx) {
+            Some((step, st)) => (step + 1, st),
+            None => (
+                0,
+                PregelState {
+                    values: (0..n_inner)
+                        .map(|l| program.init(frag.global(l as u32), frag))
+                        .collect(),
+                    active: vec![true; n_inner],
+                    inboxes: vec![Vec::new(); n_inner],
+                },
+            ),
+        };
         let mut out = OutBuffers::new(comm.workers);
-
-        for step in 0..max_steps {
+        for step in start..max_steps {
             gs_chaos::worker_kill_point(comm.my_id, step);
-            let cont = pregel_step(
-                program,
-                frag,
-                comm,
-                step,
-                &mut values,
-                &mut active,
-                &mut inboxes,
-                &mut out,
-            )
-            .expect("pregel step aborted");
-            if !cont {
+            if !pregel_step(program, frag, comm, step, &mut st, &mut out) {
                 break;
             }
+            if engine.checkpoint_due(step, max_steps) {
+                checkpoint(comm, &store, idx, step, st.clone());
+            }
         }
-        (0..n_inner)
-            .map(|l| (frag.global(l as u32), values[l].clone()))
+        st.values
+            .into_iter()
+            .enumerate()
+            .map(|(l, v)| (frag.global(l as u32), v))
             .collect()
     })
 }
@@ -768,7 +792,7 @@ mod tests {
 
     #[test]
     fn global_sync_sums_across_workers() {
-        let comms = CommHandle::cluster(4);
+        let comms = CommHandle::cluster(4, None);
         let totals: Vec<u64> = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
@@ -791,14 +815,14 @@ mod tests {
     #[test]
     fn global_sync_round_map_stays_bounded_over_long_runs() {
         let workers = 4;
-        let sync = GlobalSync::new(workers);
+        let sync = GlobalSync::new(workers, None);
         let rounds = 2_000u64;
         crossbeam::thread::scope(|s| {
             for w in 0..workers {
                 let sync = Arc::clone(&sync);
                 s.spawn(move |_| {
                     for r in 0..rounds {
-                        let total = sync.sum_at(r, w as u64 + 1);
+                        let (total, _) = sync.reduce(r, w as u64 + 1, 0.0);
                         assert_eq!(total, 10);
                     }
                     // live rounds are bounded by skew, never by history
@@ -814,17 +838,24 @@ mod tests {
         assert_eq!(sync.rounds_live(), 0, "all rounds pruned after the run");
     }
 
-    /// Poisoning a sync unblocks waiting workers with `ClusterAborted`
+    /// The [`ClusterAborted`] payload a collective unwound with.
+    fn abort_cause<T>(r: std::thread::Result<T>) -> ClusterAborted {
+        let payload = r.err().expect("the collective must abort");
+        *payload
+            .downcast::<ClusterAborted>()
+            .expect("collectives unwind with a ClusterAborted payload")
+    }
+
+    /// Poisoning a sync unwinds waiting workers with `ClusterAborted`
     /// instead of deadlocking on a peer that never arrives.
     #[test]
     fn poison_unblocks_waiting_workers() {
-        let sync = GlobalSync::new(2);
+        let sync = GlobalSync::new(2, None);
         let s2 = Arc::clone(&sync);
-        let waiter = std::thread::spawn(move || s2.try_reduce(0, 1, 0.0));
+        let waiter = std::thread::spawn(move || s2.reduce(0, 1, 0.0));
         std::thread::sleep(Duration::from_millis(20));
         sync.poison("test kill");
-        let got = waiter.join().unwrap();
-        assert_eq!(got, Err(ClusterAborted("test kill")));
+        assert_eq!(abort_cause(waiter.join()), ClusterAborted("test kill"));
         assert_eq!(sync.poisoned(), Some("test kill"));
     }
 
@@ -832,9 +863,9 @@ mod tests {
     /// contributor aborts after the window instead of hanging forever.
     #[test]
     fn armed_sync_detects_missing_worker() {
-        let sync = GlobalSync::new_with(2, Some(Duration::from_millis(50)));
-        let got = sync.try_reduce(0, 1, 0.0);
-        assert!(got.is_err(), "lone worker must time out");
+        let sync = GlobalSync::new(2, Some(Duration::from_millis(50)));
+        let got = catch_unwind(AssertUnwindSafe(|| sync.reduce(0, 1, 0.0)));
+        abort_cause(got);
         assert!(sync.poisoned().is_some());
     }
 
@@ -842,14 +873,109 @@ mod tests {
     /// detection window (this is how message loss surfaces).
     #[test]
     fn armed_exchange_detects_lost_block() {
-        let mut comms = CommHandle::cluster_with(2, Some(Duration::from_millis(60)));
+        let mut comms = CommHandle::cluster(2, Some(Duration::from_millis(60)));
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
         // worker 1 never sends; worker 0's exchange must abort, not hang
         drop(c1);
         let mut out = OutBuffers::new(2);
-        let got = c0.try_exchange(&mut out);
-        assert!(got.is_err(), "exchange must detect the lost block");
+        abort_cause(catch_unwind(AssertUnwindSafe(|| c0.exchange(&mut out))));
         assert!(c0.sync.poisoned().is_some());
+    }
+
+    fn ring(n: u64) -> Vec<(VId, VId)> {
+        (0..n)
+            .flat_map(|i| [(VId(i), VId((i + 1) % n)), (VId((i + 1) % n), VId(i))])
+            .collect()
+    }
+
+    /// Runs `f` off the test thread and waits at most 20 s for it, so an
+    /// engine that hangs fails the test instead of stalling the suite.
+    fn within_deadline<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("engine run hung: a panicking worker left its peer blocked")
+    }
+
+    /// Regression: an unarmed run whose worker panics while its peer
+    /// blocks in `exchange` used to leave the peer waiting forever. The
+    /// panicking worker now poisons the cluster, the peer aborts, and the
+    /// caller receives the original panic payload.
+    #[test]
+    fn worker_panic_unblocks_peer_blocked_in_exchange() {
+        let got = within_deadline(|| {
+            GrapeEngine::from_edges(8, &ring(8), 2).run(|_frag, comm| -> Vec<(VId, u64)> {
+                if comm.my_id == 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("worker 1 bug");
+                }
+                comm.exchange(&mut OutBuffers::new(comm.workers));
+                Vec::new()
+            })
+        });
+        let payload = got.expect_err("the bug must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 1 bug"));
+    }
+
+    /// The same through FLASH, with the peer blocked in an all-reduce.
+    #[test]
+    fn flash_worker_panic_unblocks_peer_blocked_in_allreduce() {
+        let got = within_deadline(|| {
+            let engine = GrapeEngine::from_edges(8, &ring(8), 2);
+            crate::flash::run_flash(&engine, |ctx| -> Vec<(VId, u64)> {
+                if ctx.frag.id.index() == 1 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("flash program bug");
+                }
+                ctx.size(&crate::flash::VertexSubset::full(ctx.frag));
+                Vec::new()
+            })
+        });
+        let payload = got.expect_err("the bug must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"flash program bug"));
+    }
+
+    /// A worker killed by an injected fault in an unarmed run: nothing
+    /// restarts, and the caller's panic names the cause.
+    #[test]
+    fn unarmed_abort_panics_naming_the_cause() {
+        let engine = GrapeEngine::from_edges(8, &ring(8), 2);
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            engine.run(|_frag, comm| -> Vec<(VId, u64)> {
+                if comm.my_id == 1 {
+                    std::panic::panic_any(gs_chaos::ChaosUnwind("injected kill"));
+                }
+                comm.allreduce(1);
+                Vec::new()
+            })
+        }));
+        let payload = got.expect_err("an aborted run must not return");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(msg, "grape run aborted: injected kill");
+    }
+
+    /// With recovery armed, the same injected kill restarts the run, which
+    /// then completes.
+    #[test]
+    fn armed_run_restarts_after_an_injected_kill() {
+        let engine = GrapeEngine::from_edges(8, &ring(8), 2)
+            .with_recovery(crate::recover::RecoveryConfig::default());
+        let attempts = std::sync::atomic::AtomicUsize::new(0);
+        let got = engine.run(|frag, comm| {
+            if comm.my_id == 1 && attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                std::panic::panic_any(gs_chaos::ChaosUnwind("injected kill"));
+            }
+            let total = comm.allreduce(1);
+            (0..frag.inner_count as u32)
+                .map(|l| (frag.global(l), total))
+                .collect()
+        });
+        assert_eq!(got, vec![2; 8]);
+        assert_eq!(attempts.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 }

@@ -41,9 +41,7 @@ pub use ingress::IncrementalPageRank;
 pub use loader::{load_fragments, GrinProjection, VertexSpace, REQUIRED_CAPABILITIES};
 pub use messages::{MessageBlock, OutBuffers, Payload};
 pub use pie::{run_pie, PieContext, PieProgram};
-pub use recover::{
-    run_pregel_recoverable, run_recoverable, CheckpointStore, PregelState, RecoveryConfig,
-};
+pub use recover::{CheckpointStore, RecoveryConfig};
 pub use traversal::{
     bfs_direction_optimizing, bfs_with_policy, sssp_direction_optimizing, sssp_with_policy,
     TraversalPolicy, TraversalReport,

@@ -8,33 +8,32 @@
 //! set to the committed checkpoint — so the committed checkpoint is always
 //! a globally consistent cut at a superstep boundary.
 //!
-//! When an attempt dies — a worker panic (including injected
-//! [`gs_chaos`] kills), a lost message, or a stalled peer — the failure
-//! poisons the cluster's [`GlobalSync`](crate::engine::GlobalSync), every
-//! surviving worker promptly aborts with
-//! [`ClusterAborted`], and the driver tears
-//! the attempt down and restarts **all** workers from the last committed
-//! checkpoint. Because the per-step logic is deterministic, a restarted
-//! run replays the exact arithmetic of an uninterrupted one: WCC/BFS
-//! results are byte-identical and PageRank agrees to floating-point noise
-//! (the global dangling-mass reduction sums in worker-arrival order).
+//! Failure handling lives in the one driver,
+//! [`GrapeEngine::run`](crate::engine::GrapeEngine::run), which every
+//! program already takes: a worker panic (including injected
+//! [`gs_chaos`] kills), a lost message, or a stalled peer poisons the
+//! cluster's [`GlobalSync`](crate::engine::GlobalSync), every surviving
+//! worker unwinds with [`ClusterAborted`](crate::engine::ClusterAborted),
+//! and with [`RecoveryConfig`] armed the driver restarts **all** workers.
+//! Pregel and PageRank restore from the last committed checkpoint; the
+//! other programs rerun from scratch. Because the per-step logic is
+//! deterministic and `GlobalSync` folds f64 contributions in a canonical
+//! order, a restarted run replays the exact arithmetic of an uninterrupted
+//! one: WCC/BFS results are byte-identical and PageRank ranks are
+//! bit-identical.
 //!
-//! Genuine bugs still crash: a panic whose payload is not
-//! [`gs_chaos::ChaosUnwind`] is re-raised on the driver thread after the
-//! attempt unwinds, never silently retried.
+//! Genuine bugs still crash: a panic whose payload is neither
+//! [`gs_chaos::ChaosUnwind`] nor `ClusterAborted` is re-raised on the
+//! caller once all workers have joined, never silently retried.
 
-use crate::engine::{pregel_step, ClusterAborted, CommHandle, GrapeEngine, PregelProgram};
-use crate::fragment::Fragment;
-use crate::messages::OutBuffers;
-use gs_graph::VId;
+use crate::engine::CommHandle;
 use gs_sanitizer::TrackedMutex;
 use gs_telemetry::counter;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning for recoverable runs.
+/// Tuning for recoverable runs, armed with
+/// [`GrapeEngine::with_recovery`](crate::engine::GrapeEngine::with_recovery).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Checkpoint every `interval` supersteps (0 disables checkpointing;
@@ -169,174 +168,23 @@ pub fn checkpoint<S>(
     frag: usize,
     step: usize,
     snapshot: S,
-) -> Result<(), ClusterAborted> {
+) {
     store.stage(frag, step, snapshot);
-    comm.try_allreduce(0)?;
+    comm.allreduce(0);
     if comm.my_id == 0 {
         let committed = store.commit(step, comm.workers);
         debug_assert!(committed, "all workers staged before the barrier");
     }
-    comm.try_allreduce(0)?;
-    Ok(())
-}
-
-/// How one worker's attempt ended.
-enum AttemptResult<T> {
-    /// Clean completion with this fragment's results.
-    Done(Vec<(VId, T)>),
-    /// The attempt died recoverably: an injected fault or a cluster abort.
-    Aborted,
-    /// A genuine (non-chaos) panic; re-raised by the driver.
-    Crashed(Box<dyn std::any::Any + Send>),
-}
-
-/// Runs `worker` over every fragment with dead-worker detection, retrying
-/// whole attempts from scratch (the worker restores its own state from a
-/// [`CheckpointStore`]) until one completes on every fragment. Injected
-/// fault panics and [`ClusterAborted`] trigger a restart; any other panic
-/// is re-raised — recovery must never swallow a real bug.
-pub fn run_recoverable<T, F>(engine: &GrapeEngine, cfg: &RecoveryConfig, worker: F) -> Vec<T>
-where
-    T: Clone + Default + Send + 'static,
-    F: Fn(&Fragment, &CommHandle, usize) -> Result<Vec<(VId, T)>, ClusterAborted> + Sync,
-{
-    gs_chaos::silence_chaos_panics();
-    let k = engine.fragments.len();
-    for attempt in 0..=cfg.max_restarts {
-        let comms = CommHandle::cluster_with(k, Some(cfg.detect_timeout));
-        let results: Vec<AttemptResult<T>> = crossbeam::thread::scope(|s| {
-            let worker = &worker;
-            let handles: Vec<_> = engine
-                .fragments
-                .iter()
-                .zip(comms)
-                .map(|(frag, comm)| {
-                    s.spawn(move |_| {
-                        let sync = Arc::clone(&comm.sync);
-                        match catch_unwind(AssertUnwindSafe(|| worker(frag, &comm, attempt))) {
-                            Ok(Ok(part)) => AttemptResult::Done(part),
-                            Ok(Err(_aborted)) => AttemptResult::Aborted,
-                            Err(payload) => {
-                                // unblock the peers before this thread exits
-                                sync.poison("peer worker panicked");
-                                if gs_chaos::is_chaos_unwind(payload.as_ref()) {
-                                    AttemptResult::Aborted
-                                } else {
-                                    AttemptResult::Crashed(payload)
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("recovery wrapper must not panic"))
-                .collect()
-        })
-        .expect("grape scope");
-
-        let mut parts = Vec::with_capacity(k);
-        let mut aborted = false;
-        for r in results {
-            match r {
-                AttemptResult::Done(p) => parts.push(p),
-                AttemptResult::Aborted => aborted = true,
-                AttemptResult::Crashed(payload) => resume_unwind(payload),
-            }
-        }
-        if !aborted {
-            let mut global = vec![T::default(); engine.global_n()];
-            for part in parts {
-                for (g, v) in part {
-                    global[g.index()] = v;
-                }
-            }
-            return global;
-        }
-        counter!("grape.recovery.restarts");
-    }
-    panic!(
-        "grape recovery: attempt budget exhausted after {} restarts",
-        cfg.max_restarts
-    );
-}
-
-/// A consistent per-fragment cut of a Pregel run at a superstep boundary.
-#[derive(Clone)]
-pub struct PregelState<M, V> {
-    pub values: Vec<V>,
-    pub active: Vec<bool>,
-    pub inboxes: Vec<Vec<M>>,
-}
-
-/// The checkpoint/restart Pregel driver: identical per-step semantics to
-/// [`run_pregel`](crate::engine::run_pregel) (both delegate to the same
-/// step function), plus a coordinated checkpoint every
-/// `cfg.interval` supersteps and restart-from-checkpoint on failure.
-pub fn run_pregel_recoverable<P: PregelProgram>(
-    engine: &GrapeEngine,
-    program: &P,
-    max_steps: usize,
-    cfg: &RecoveryConfig,
-    store: &CheckpointStore<PregelState<P::Msg, P::Value>>,
-) -> Vec<P::Value> {
-    run_recoverable(engine, cfg, |frag, comm, _attempt| {
-        let n_inner = frag.inner_count;
-        let idx = frag.id.index();
-        let (start, mut values, mut active, mut inboxes) = match store.restore(idx) {
-            Some((step, st)) => (step + 1, st.values, st.active, st.inboxes),
-            None => (
-                0,
-                (0..n_inner)
-                    .map(|l| program.init(frag.global(l as u32), frag))
-                    .collect(),
-                vec![true; n_inner],
-                vec![Vec::new(); n_inner],
-            ),
-        };
-        let mut out = OutBuffers::new(comm.workers);
-        for step in start..max_steps {
-            gs_chaos::worker_kill_point(comm.my_id, step);
-            let cont = pregel_step(
-                program,
-                frag,
-                comm,
-                step,
-                &mut values,
-                &mut active,
-                &mut inboxes,
-                &mut out,
-            )?;
-            if !cont {
-                break;
-            }
-            // gate on globally agreed values only, so every worker makes
-            // the identical collective sequence
-            if cfg.interval > 0 && (step + 1) % cfg.interval == 0 && step + 1 < max_steps {
-                checkpoint(
-                    comm,
-                    store,
-                    idx,
-                    step,
-                    PregelState {
-                        values: values.clone(),
-                        active: active.clone(),
-                        inboxes: inboxes.clone(),
-                    },
-                )?;
-            }
-        }
-        Ok((0..n_inner)
-            .map(|l| (frag.global(l as u32), values[l].clone()))
-            .collect())
-    })
+    comm.allreduce(0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::wcc;
+    use crate::engine::GrapeEngine;
+    use gs_graph::VId;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn ring_edges(n: u64) -> Vec<(VId, VId)> {
         (0..n)
@@ -345,7 +193,7 @@ mod tests {
     }
 
     /// An armed engine produces the same results as a plain one when
-    /// nothing faults (the recoverable driver is semantics-preserving).
+    /// nothing faults (checkpointing is semantics-preserving).
     #[test]
     fn recoverable_pregel_matches_plain_run_without_faults() {
         let edges = ring_edges(48);
@@ -373,15 +221,15 @@ mod tests {
         assert_eq!(store.restore(0), Some((4, vec![1])));
     }
 
-    /// A genuine (non-chaos) worker panic must not be retried — it
-    /// resurfaces on the driver thread.
+    /// A genuine (non-chaos) worker panic must not be retried, even with
+    /// recovery armed — it resurfaces on the caller.
     #[test]
     fn real_panics_are_reraised_not_retried() {
         let edges = ring_edges(8);
-        let engine = GrapeEngine::from_edges(8, &edges, 2);
+        let engine = GrapeEngine::from_edges(8, &edges, 2).with_recovery(RecoveryConfig::default());
         let attempts = std::sync::atomic::AtomicUsize::new(0);
         let got = catch_unwind(AssertUnwindSafe(|| {
-            run_recoverable::<u64, _>(&engine, &RecoveryConfig::default(), |_frag, _comm, _a| {
+            engine.run::<u64, _>(|_frag, _comm| {
                 attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 panic!("genuine bug");
             })
@@ -393,7 +241,7 @@ mod tests {
         );
     }
 
-    /// Satellite: checkpoint/restore round-trip. Run PageRank far enough
+    /// Checkpoint/restore round-trip. Run PageRank far enough
     /// to commit a mid-run checkpoint, then restore that checkpoint into a
     /// **fresh** engine and finish: the final ranks must match an
     /// uninterrupted run bit-for-bit.
@@ -403,17 +251,17 @@ mod tests {
         let edges = ring_edges(30);
         let cfg = RecoveryConfig::default().interval(5);
 
-        let full_engine = GrapeEngine::from_edges(30, &edges, 3);
+        let full_engine = GrapeEngine::from_edges(30, &edges, 3).with_recovery(cfg.clone());
         let store = CheckpointStore::new();
-        let uninterrupted = pagerank_recoverable(&full_engine, 0.85, 10, &cfg, &store);
+        let uninterrupted = pagerank_recoverable(&full_engine, 0.85, 10, &store);
         // interval 5 over 10 iterations commits after step 4 (step 9 is
         // final, so no checkpoint there)
         assert_eq!(store.committed_step(), Some(4));
         drop(full_engine);
 
         // a brand-new engine resumes from the surviving checkpoint
-        let fresh = GrapeEngine::from_edges(30, &edges, 3);
-        let resumed = pagerank_recoverable(&fresh, 0.85, 10, &cfg, &store);
+        let fresh = GrapeEngine::from_edges(30, &edges, 3).with_recovery(cfg);
+        let resumed = pagerank_recoverable(&fresh, 0.85, 10, &store);
         assert_eq!(
             uninterrupted.len(),
             resumed.len(),
@@ -427,14 +275,14 @@ mod tests {
         }
     }
 
-    /// Plain runs are untouched by the recoverable machinery: run_pregel
-    /// without `with_recovery` takes the direct path (and still computes
-    /// the same answer as an armed engine, tested above).
+    /// Plain runs never checkpoint (and still compute the same answer as
+    /// an armed engine, tested above).
     #[test]
     fn unarmed_engine_does_not_checkpoint() {
         let edges = ring_edges(16);
         let engine = GrapeEngine::from_edges(16, &edges, 2);
         assert!(engine.recovery.is_none());
+        assert!((0..16).all(|step| !engine.checkpoint_due(step, 16)));
         let labels = wcc(&engine);
         assert!(labels.iter().all(|&c| c == 0), "one ring, one component");
     }

@@ -779,6 +779,35 @@ mod tests {
         }
     }
 
+    /// Jobs queued behind a busy shard when it is killed are dropped
+    /// with its mailbox, so each caller sees a disconnect instead of
+    /// waiting on a job nobody will run.
+    #[test]
+    fn jobs_queued_at_shard_death_disconnect() {
+        let _gate = gs_chaos::exclusive();
+        let rt = HiActorRuntime::new(1);
+        let (started_tx, started_rx) = unbounded::<()>("test.started");
+        let (release_tx, release_rx) = unbounded::<()>("test.release");
+        let busy = rt.submit(Some(0), move || {
+            let _ = started_tx.send(());
+            release_rx.recv().is_ok()
+        });
+        assert!(started_rx.recv().is_ok(), "the shard runs the busy job");
+        let queued: Vec<_> = (0..8).map(|i| rt.submit(Some(0), move || i)).collect();
+        rt.kill_shard(0);
+        drop(release_tx);
+        assert_eq!(busy.recv_timeout(Duration::from_secs(5)), Ok(false));
+        for rx in queued {
+            assert!(
+                matches!(
+                    rx.recv_timeout(Duration::from_secs(5)),
+                    Err(RecvTimeoutError::Disconnected)
+                ),
+                "a job queued at shard death must disconnect, not hang"
+            );
+        }
+    }
+
     #[test]
     fn missed_deadline_surfaces_as_timeout() {
         let _gate = gs_chaos::exclusive();

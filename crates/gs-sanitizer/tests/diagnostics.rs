@@ -227,19 +227,21 @@ fn s003_send_on_disconnected_reported() {
 
 #[test]
 fn s004_receiver_blocked_at_report_time_reported() {
-    let ((tx, handle), report) = with_sanitizer(10, || {
+    let (report, _) = with_sanitizer(10, || {
         let (tx, rx) = channel::unbounded::<u64>("fixture.stuck");
         let handle = std::thread::spawn(move || rx.recv());
         // wait until the fixture thread is actually parked in recv()
         while gs_sanitizer::blocked_receivers() == 0 {
             std::thread::yield_now();
         }
-        (tx, handle)
+        let report = gs_sanitizer::take_report();
+        // unblock and reap the fixture thread inside the window, so no
+        // later test's window sees a receiver still parked
+        drop(tx);
+        assert!(handle.join().unwrap().is_err());
+        report
     });
     assert!(report.has_code(S_RECV_STUCK), "{}", report.render());
-    // unblock and reap the fixture thread
-    drop(tx);
-    assert!(handle.join().unwrap().is_err());
 }
 
 #[test]

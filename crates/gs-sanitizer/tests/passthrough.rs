@@ -1,6 +1,11 @@
 //! The wrappers must behave exactly like the primitives they wrap in both
 //! feature configurations, and a run that never enabled the sanitizer must
 //! report nothing. These tests compile with and without `sanitize`.
+//!
+//! Tracked channels register with the sanitizer even while it is off, and
+//! a report names every receiver blocked anywhere in the process; so each
+//! test that receives on a tracked channel, or takes a report, holds the
+//! [`gs_sanitizer::exclusive`] gate.
 
 use gs_sanitizer::channel;
 use gs_sanitizer::{SharedCell, TrackedBarrier, TrackedMutex, TrackedRwLock};
@@ -54,6 +59,7 @@ fn barrier_elects_one_leader_per_round() {
 
 #[test]
 fn channels_deliver_in_order_and_disconnect() {
+    let _gate = gs_sanitizer::exclusive();
     let (tx, rx) = channel::unbounded::<u64>("pt.chan");
     for i in 0..100 {
         tx.send(i).unwrap();
@@ -69,6 +75,7 @@ fn channels_deliver_in_order_and_disconnect() {
 
 #[test]
 fn bounded_channel_iterates_until_disconnect() {
+    let _gate = gs_sanitizer::exclusive();
     let (tx, rx) = channel::bounded::<u64>("pt.bounded", 8);
     let h = std::thread::spawn(move || {
         for i in 0..32 {
@@ -92,6 +99,7 @@ fn shared_cell_round_trips() {
 
 #[test]
 fn no_enable_means_empty_report() {
+    let _gate = gs_sanitizer::exclusive();
     // tracked ops without `enable` must leave no trace in either build
     let m = TrackedMutex::new("pt.silent", ());
     drop(m.lock());

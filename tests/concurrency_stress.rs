@@ -16,7 +16,7 @@ fn grape_aggregator_double_buffer_stress() {
     let k = 8;
     let rounds = 40;
     let ((), report) = gs_sanitizer::with_sanitizer(21, || {
-        let comms = graphscope_flex::gs_grape::CommHandle::cluster(k);
+        let comms = graphscope_flex::gs_grape::CommHandle::cluster(k, None);
         std::thread::scope(|s| {
             for c in comms {
                 s.spawn(move || {
