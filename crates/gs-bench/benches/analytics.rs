@@ -54,15 +54,15 @@ fn message_manager(c: &mut Criterion) {
     group.bench_function("aggregate_100k_f64", |b| {
         b.iter(|| {
             let mut out = OutBuffers::new(4);
-            for i in 0..100_000u64 {
-                out.send((i % 4) as usize, VId(i), 0.5f64);
+            for i in 0..100_000u32 {
+                out.send((i % 4) as usize, i, 0.5f64);
             }
             out.take()
         })
     });
     let mut out = OutBuffers::new(1);
-    for i in 0..100_000u64 {
-        out.send(0, VId(i), 0.5f64);
+    for i in 0..100_000u32 {
+        out.send(0, i, 0.5f64);
     }
     let blocks: Vec<MessageBlock> = out.take();
     group.bench_function("decode_100k_f64", |b| {

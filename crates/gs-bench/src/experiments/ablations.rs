@@ -69,7 +69,7 @@ pub fn ablation_messages(scale: f64) {
     let (t_grape, grape_bytes) = time_it(3, || {
         let mut out = OutBuffers::new(4);
         for (i, &v) in targets.iter().enumerate() {
-            out.send(i % 4, v, 0.5f64);
+            out.send(i % 4, v.0 as u32, 0.5f64);
         }
         let blocks = out.take();
         let bytes: usize = blocks.iter().map(|b| b.bytes.len()).sum();

@@ -59,12 +59,8 @@ pub fn equity_grape_over(
             let g = frag.global(l);
             if g.0 >= companies {
                 frag.for_each_out(l, |nbr, eid| {
-                    let target = frag.global(nbr.0 as u32);
-                    out.send(
-                        frag.owner(target).index(),
-                        target,
-                        (g.0, weights_local[eid.index()]),
-                    );
+                    let (to, lid) = frag.route(nbr.0 as u32);
+                    out.send(to, lid, (g.0, weights_local[eid.index()]));
                 });
             }
         }
@@ -77,8 +73,7 @@ pub fn equity_grape_over(
             // accumulate deltas; forward scaled deltas downstream
             let mut deltas: Vec<(u32, u64, f64)> = Vec::new();
             for b in &blocks {
-                b.for_each::<(u64, f64)>(|g, (person, ds)| {
-                    let l = frag.local(g).expect("routed to owner");
+                b.for_each::<(u64, f64)>(|l, (person, ds)| {
                     if ds > EPSILON {
                         *table[l as usize].entry(person).or_insert(0.0) += ds;
                         deltas.push((l, person, ds));
@@ -87,10 +82,10 @@ pub fn equity_grape_over(
             }
             for (l, person, ds) in deltas {
                 frag.for_each_out(l, |nbr, eid| {
-                    let target = frag.global(nbr.0 as u32);
                     let fwd = ds * weights_local[eid.index()];
                     if fwd > EPSILON {
-                        out.send(frag.owner(target).index(), target, (person, fwd));
+                        let (to, lid) = frag.route(nbr.0 as u32);
+                        out.send(to, lid, (person, fwd));
                     }
                 });
             }

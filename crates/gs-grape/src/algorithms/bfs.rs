@@ -41,8 +41,8 @@ impl PregelProgram for Bfs {
         false
     }
 
-    fn combine(&self, a: u64, b: u64) -> Option<u64> {
-        Some(a.min(b))
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        a.min(b)
     }
 }
 

@@ -14,20 +14,22 @@ pub fn cdlp(engine: &GrapeEngine, rounds: usize) -> Vec<u64> {
         let mut label: Vec<u64> = (0..inner as u32).map(|l| frag.global(l).0).collect();
         let mut out = OutBuffers::new(comm.workers);
         for _ in 0..rounds {
+            // inner neighbours count the label in place; mirrors ship it
+            let mut freq: Vec<HashMap<u64, u32>> = vec![HashMap::new(); inner];
             for l in 0..inner as u32 {
                 let lab = label[l as usize];
                 frag.for_each_out(l, |nbr, _| {
-                    let g = frag.global(nbr.0 as u32);
-                    out.send(frag.owner(g).index(), g, lab);
+                    if frag.is_inner(nbr.0 as u32) {
+                        *freq[nbr.index()].entry(lab).or_insert(0) += 1;
+                    } else {
+                        let (to, lid) = frag.route(nbr.0 as u32);
+                        out.send(to, lid, lab);
+                    }
                 });
             }
             let (blocks, _) = comm.exchange(&mut out);
-            let mut freq: Vec<HashMap<u64, u32>> = vec![HashMap::new(); inner];
             for b in &blocks {
-                b.for_each::<u64>(|g, lab| {
-                    let l = frag.local(g).expect("routed") as usize;
-                    *freq[l].entry(lab).or_insert(0) += 1;
-                });
+                b.for_each::<u64>(|l, lab| *freq[l as usize].entry(lab).or_insert(0) += 1);
             }
             for l in 0..inner {
                 if freq[l].is_empty() {

@@ -33,8 +33,7 @@ pub fn sssp(engine: &GrapeEngine, src: VId) -> Vec<f64> {
             // collect the best incoming distance per local vertex
             let mut improved: Vec<(u32, f64)> = Vec::new();
             for b in &blocks {
-                b.for_each::<f64>(|g, d| {
-                    let l = frag.local(g).expect("routed to owner");
+                b.for_each::<f64>(|l, d| {
                     if d < dist[l as usize] {
                         dist[l as usize] = d;
                         improved.push((l, d));
@@ -62,8 +61,8 @@ fn relax_from(
     out: &mut OutBuffers,
 ) {
     frag.for_each_out(l, |nbr, eid| {
-        let g = frag.global(nbr.0 as u32);
-        out.send(frag.owner(g).index(), g, d + weights[eid.index()]);
+        let (to, lid) = frag.route(nbr.0 as u32);
+        out.send(to, lid, d + weights[eid.index()]);
     });
 }
 

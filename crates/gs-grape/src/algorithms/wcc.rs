@@ -33,8 +33,8 @@ impl PregelProgram for Wcc {
         false
     }
 
-    fn combine(&self, a: u64, b: u64) -> Option<u64> {
-        Some(a.min(b))
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        a.min(b)
     }
 }
 

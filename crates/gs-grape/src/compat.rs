@@ -206,23 +206,23 @@ pub mod graphx {
                 for l in 0..frag.inner_count as u32 {
                     let src = frag.global(l);
                     frag.for_each_out(l, |nbr, eid| {
-                        let dst = frag.global(nbr.0 as u32);
                         let t = Triplet {
                             src_id: src.0,
-                            dst_id: dst.0,
+                            dst_id: frag.global(nbr.0 as u32).0,
                             src_attr: &vertices[src.index()],
                             weight: frag.weights.as_ref().map(|w| w[eid.index()]).unwrap_or(1.0),
                         };
                         if let Some(m) = send(&t) {
-                            out.send(frag.owner(dst).index(), dst, m);
+                            let (to, lid) = frag.route(nbr.0 as u32);
+                            out.send(to, lid, m);
                         }
                     });
                 }
                 let (blocks, _) = comm.exchange(&mut out);
                 let mut acc: Vec<Option<M>> = vec![None; frag.inner_count];
                 for b in &blocks {
-                    b.for_each::<M>(|g, m| {
-                        let l = frag.local(g).expect("routed") as usize;
+                    b.for_each::<M>(|l, m| {
+                        let l = l as usize;
                         acc[l] = Some(match acc[l].take() {
                             Some(prev) => merge(prev, m),
                             None => m,
@@ -268,6 +268,10 @@ pub mod giraph {
 
         /// Initial vertex value.
         fn initial_value(&self, id: u64) -> Self::VertexValue;
+
+        /// Giraph's `MessageCombiner`: messages to one vertex fold
+        /// pairwise, so `compute` receives at most one.
+        fn combine(&self, a: Self::Message, b: Self::Message) -> Self::Message;
     }
 
     /// The mutable vertex handle passed to `compute`.
@@ -336,6 +340,10 @@ pub mod giraph {
             };
             self.0.compute(&mut vertex, msgs);
             !vertex.halted
+        }
+
+        fn combine(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg {
+            self.0.combine(a, b)
         }
     }
 
@@ -407,6 +415,9 @@ mod tests {
             type Message = u64;
             fn initial_value(&self, id: u64) -> u64 {
                 id
+            }
+            fn combine(&self, a: u64, b: u64) -> u64 {
+                a.min(b)
             }
             fn compute(
                 &self,
@@ -480,6 +491,9 @@ mod tests {
             type Message = u64;
             fn initial_value(&self, id: u64) -> u64 {
                 id * 10
+            }
+            fn combine(&self, a: u64, b: u64) -> u64 {
+                a.max(b)
             }
             fn compute(
                 &self,

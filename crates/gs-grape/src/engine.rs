@@ -297,10 +297,17 @@ impl CommHandle {
         self.flush_delayed();
         let blocks = out.take();
         if gs_telemetry::enabled() {
-            counter!("grape.msgs_sent"; blocks.iter().map(|b| b.count).sum());
-            counter!("grape.msg_bytes_raw"; blocks.iter().map(|b| b.raw_bytes).sum());
-            counter!("grape.msg_bytes_encoded";
-                blocks.iter().map(|b| b.bytes.len() as u64).sum());
+            // cross-fragment traffic only: a self-block never leaves
+            let remote = || {
+                blocks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(to, _)| to != self.my_id)
+                    .map(|(_, b)| b)
+            };
+            counter!("grape.msgs_sent"; remote().map(|b| b.count).sum());
+            counter!("grape.msg_bytes_raw"; remote().map(|b| b.raw_bytes).sum());
+            counter!("grape.msg_bytes_encoded"; remote().map(|b| b.bytes.len() as u64).sum());
         }
         for (to, block) in blocks.into_iter().enumerate() {
             if to == self.my_id {
@@ -565,8 +572,10 @@ pub trait PregelProgram: Sync {
     /// Initial value for a vertex.
     fn init(&self, g: VId, frag: &Fragment) -> Self::Value;
 
-    /// One superstep for one vertex. Returning `true` keeps the vertex
-    /// active; `false` votes to halt (it reactivates on incoming messages).
+    /// One superstep for one vertex. `msgs` holds the vertex's combined
+    /// message, if any (zero or one element). Returning `true` keeps the
+    /// vertex active; `false` votes to halt (it reactivates on incoming
+    /// messages).
     fn compute(
         &self,
         step: usize,
@@ -576,37 +585,66 @@ pub trait PregelProgram: Sync {
         ctx: &mut PregelContext<'_, Self::Msg>,
     ) -> bool;
 
-    /// Optional associative message combiner (applied at the receiver).
-    fn combine(&self, _a: Self::Msg, _b: Self::Msg) -> Option<Self::Msg> {
-        None
-    }
+    /// Associative, commutative message combiner. The runtime folds every
+    /// message to one vertex into one: inner targets in place as they are
+    /// sent, mirror targets per mirror before the superstep's exchange,
+    /// and remote blocks at the receiver.
+    fn combine(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
 }
 
 /// Context passed to [`PregelProgram::compute`].
 pub struct PregelContext<'a, M: Payload> {
     pub frag: &'a Fragment,
+    /// Next superstep's inbox (inner local ids) followed by one
+    /// accumulator per outer mirror, both combined in place.
+    next: &'a mut [Option<M>],
     out: &'a mut OutBuffers,
-    _marker: std::marker::PhantomData<M>,
+    combine: &'a dyn Fn(M, M) -> M,
+    /// Sends this superstep (termination needs only zero vs non-zero).
+    sent: u64,
+}
+
+/// Combines `msg` into a message slot.
+#[inline]
+fn fold<M>(slot: &mut Option<M>, msg: M, combine: impl FnOnce(M, M) -> M) {
+    *slot = Some(match slot.take() {
+        Some(prev) => combine(prev, msg),
+        None => msg,
+    });
 }
 
 impl<'a, M: Payload> PregelContext<'a, M> {
-    /// Sends a message to a vertex by *global* id.
+    /// Combines `msg` into the slot of local vertex `l`.
     #[inline]
-    pub fn send(&mut self, target: VId, msg: M) {
-        let to = self.frag.owner(target).index();
-        self.out.send(to, target, msg);
+    fn fold(&mut self, l: usize, msg: M) {
+        fold(&mut self.next[l], msg, self.combine);
     }
 
-    /// Sends to every out-neighbor of a local vertex.
+    /// Sends a message to a vertex by *global* id. A vertex of this
+    /// fragment receives it in place; any other goes to its owner now.
+    #[inline]
+    pub fn send(&mut self, target: VId, msg: M) {
+        let (to, lid) = self.frag.route_global(target);
+        if to == self.frag.id.index() {
+            self.fold(lid as usize, msg);
+        } else {
+            self.out.send(to, lid, msg);
+        }
+        self.sent += 1;
+    }
+
+    /// Sends to every out-neighbor of a local vertex: inner neighbors and
+    /// mirrors alike combine into their slot, and each mirror's combined
+    /// message leaves once, at the end of the superstep.
     #[inline]
     pub fn send_to_out_neighbors(&mut self, local: u32, msg: M) {
         let frag = self.frag;
-        let out = &mut self.out;
+        let mut sent = 0;
         frag.for_each_out(local, |nbr, _| {
-            let g = frag.global(nbr.0 as u32);
-            let to = frag.owner(g).index();
-            out.send(to, g, msg);
+            self.fold(nbr.index(), msg);
+            sent += 1;
         });
+        self.sent += sent;
     }
 }
 
@@ -616,18 +654,23 @@ impl<'a, M: Payload> PregelContext<'a, M> {
 struct PregelState<M, V> {
     values: Vec<V>,
     active: Vec<bool>,
-    inboxes: Vec<Vec<M>>,
+    /// The combined message each vertex receives next superstep, by local
+    /// id (mirror slots are always empty at a superstep boundary).
+    inbox: Vec<Option<M>>,
 }
 
-/// One Pregel superstep over a fragment: compute phase, exchange, inbox
-/// fill (with combining), and the global termination reduction. Returns
-/// `true` to continue, `false` on global termination.
+/// One Pregel superstep over a fragment: compute phase, mirror flush,
+/// exchange, remote combining, and the global termination reduction.
+/// `next` is the second inbox buffer (inner vertices, then mirrors); it is
+/// all `None` on entry and on return. Returns `true` to continue, `false`
+/// on global termination.
 fn pregel_step<P: PregelProgram>(
     program: &P,
     frag: &Fragment,
     comm: &CommHandle,
     step: usize,
     st: &mut PregelState<P::Msg, P::Value>,
+    next: &mut Vec<Option<P::Msg>>,
     out: &mut OutBuffers,
 ) -> bool {
     let n_inner = frag.inner_count;
@@ -638,53 +681,50 @@ fn pregel_step<P: PregelProgram>(
     let PregelState {
         values,
         active,
-        inboxes,
+        inbox,
     } = st;
+    let combine = |a, b| program.combine(a, b);
+    let mut ctx = PregelContext {
+        frag,
+        next,
+        out,
+        combine: &combine,
+        sent: 0,
+    };
     // compute phase
     let mut local_active = 0u64;
     for l in 0..n_inner {
-        if !active[l] && inboxes[l].is_empty() {
+        if !active[l] && inbox[l].is_none() {
             continue;
         }
-        let msgs = std::mem::take(&mut inboxes[l]);
-        let mut ctx = PregelContext {
-            frag,
-            out,
-            _marker: std::marker::PhantomData,
-        };
-        let keep = program.compute(step, l as u32, &mut values[l], &msgs, &mut ctx);
+        let msg = inbox[l].take();
+        let keep = program.compute(step, l as u32, &mut values[l], msg.as_slice(), &mut ctx);
         active[l] = keep;
         if keep {
             local_active += 1;
         }
     }
-    // exchange phase
-    let sent = out.total();
+    let sent = ctx.sent;
+    // each mirror's combined message goes to its owner once
+    for (m, slot) in next[n_inner..].iter_mut().enumerate() {
+        if let Some(msg) = slot.take() {
+            let (to, lid) = frag.route((n_inner + m) as u32);
+            out.send(to, lid, msg);
+        }
+    }
+    // exchange phase: remote messages combine after the inner ones
     let (blocks, _received) = comm.exchange(out);
     for block in &blocks {
-        block.for_each::<P::Msg>(|g, m| {
-            let l = frag.local(g).expect("message routed to owner") as usize;
-            debug_assert!(l < n_inner);
-            if let Some(last) = inboxes[l].pop() {
-                match program.combine(last, m) {
-                    Some(c) => inboxes[l].push(c),
-                    None => {
-                        inboxes[l].push(last);
-                        inboxes[l].push(m);
-                    }
-                }
-            } else {
-                inboxes[l].push(m);
-            }
-        });
+        block.for_each::<P::Msg>(|l, m| fold(&mut next[l as usize], m, combine));
     }
+    std::mem::swap(inbox, next);
     // global termination: nobody active, nothing in flight
     comm.allreduce(local_active + sent) != 0
 }
 
 /// Runs a Pregel program to fixpoint (or `max_steps`), returning per-vertex
 /// values indexed by global id. With [`GrapeEngine::with_recovery`] armed,
-/// every worker checkpoints its values, active flags and inboxes every
+/// every worker checkpoints its values, active flags and inbox every
 /// `interval` supersteps, and a restarted run resumes from the last
 /// committed checkpoint.
 pub fn run_pregel<P: PregelProgram>(
@@ -705,14 +745,15 @@ pub fn run_pregel<P: PregelProgram>(
                         .map(|l| program.init(frag.global(l as u32), frag))
                         .collect(),
                     active: vec![true; n_inner],
-                    inboxes: vec![Vec::new(); n_inner],
+                    inbox: vec![None; frag.local_count()],
                 },
             ),
         };
+        let mut next = vec![None; frag.local_count()];
         let mut out = OutBuffers::new(comm.workers);
         for step in start..max_steps {
             gs_chaos::worker_kill_point(comm.my_id, step);
-            if !pregel_step(program, frag, comm, step, &mut st, &mut out) {
+            if !pregel_step(program, frag, comm, step, &mut st, &mut next, &mut out) {
                 break;
             }
             if engine.checkpoint_due(step, max_steps) {
@@ -757,8 +798,8 @@ mod tests {
             }
             false // vote halt; reactivated by messages
         }
-        fn combine(&self, a: u64, b: u64) -> Option<u64> {
-            Some(a.max(b))
+        fn combine(&self, a: u64, b: u64) -> u64 {
+            a.max(b)
         }
     }
 
@@ -977,5 +1018,48 @@ mod tests {
         });
         assert_eq!(got, vec![2; 8]);
         assert_eq!(attempts.load(std::sync::atomic::Ordering::SeqCst), 2);
+    }
+
+    /// A Pregel run restarted mid-way resumes from the checkpointed flat
+    /// inbox: the messages in flight at the checkpoint are delivered after
+    /// the restart, so the result equals an uninterrupted run's. (Losing
+    /// them would strand the max short of the vertices they were bound
+    /// for: every vertex halts each step.)
+    #[test]
+    fn pregel_restart_resumes_from_the_checkpointed_inbox() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct KillOnce<'a>(&'a AtomicBool);
+        impl PregelProgram for KillOnce<'_> {
+            type Msg = u64;
+            type Value = u64;
+            fn init(&self, g: VId, f: &Fragment) -> u64 {
+                MaxProp.init(g, f)
+            }
+            fn compute(
+                &self,
+                step: usize,
+                local: u32,
+                value: &mut u64,
+                msgs: &[u64],
+                ctx: &mut PregelContext<'_, u64>,
+            ) -> bool {
+                if step == 7 && ctx.frag.id.index() == 1 && !self.0.swap(true, Ordering::SeqCst) {
+                    std::panic::panic_any(gs_chaos::ChaosUnwind("injected kill"));
+                }
+                MaxProp.compute(step, local, value, msgs, ctx)
+            }
+            fn combine(&self, a: u64, b: u64) -> u64 {
+                a.max(b)
+            }
+        }
+        let edges = ring(60);
+        let plain = run_pregel(&GrapeEngine::from_edges(60, &edges, 3), &MaxProp, 100);
+        assert!(plain.iter().all(|&v| v == 59));
+        let killed = AtomicBool::new(false);
+        let engine = GrapeEngine::from_edges(60, &edges, 3)
+            .with_recovery(crate::recover::RecoveryConfig::default().interval(3));
+        let resumed = run_pregel(&engine, &KillOnce(&killed), 100);
+        assert!(killed.load(Ordering::SeqCst), "the kill fired");
+        assert_eq!(resumed, plain);
     }
 }

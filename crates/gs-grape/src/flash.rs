@@ -97,8 +97,8 @@ impl<'a> FlashContext<'a> {
     /// communication — FLASH's differentiator).
     #[inline]
     pub fn send<M: Payload>(&mut self, target: VId, msg: M) {
-        let to = self.frag.owner(target).index();
-        self.out.send(to, target, msg);
+        let (to, lid) = self.frag.route_global(target);
+        self.out.send(to, lid, msg);
     }
 
     /// Pushes `f(src_local, dst_global)`-generated messages along the out
@@ -113,28 +113,22 @@ impl<'a> FlashContext<'a> {
         let out = &mut self.out;
         for l in subset.iter() {
             frag.for_each_out(l, |nbr, _| {
-                let g = frag.global(nbr.0 as u32);
-                if let Some(m) = f(l, g) {
-                    let to = frag.owner(g).index();
-                    out.send(to, g, m);
+                if let Some(m) = f(l, frag.global(nbr.0 as u32)) {
+                    let (to, lid) = frag.route(nbr.0 as u32);
+                    out.send(to, lid, m);
                 }
             });
         }
         self.deliver()
     }
 
-    /// Collective exchange of queued messages; returns `(local id, msg)`.
+    /// Collective exchange of queued messages; returns `(local inner id,
+    /// msg)` pairs (senders address owners by their local ids).
     pub fn deliver<M: Payload>(&mut self) -> Vec<(u32, M)> {
         let (blocks, _) = self.comm.exchange(&mut self.out);
         let mut out = Vec::new();
         for b in &blocks {
-            b.for_each::<M>(|g, m| {
-                if let Some(l) = self.frag.local(g) {
-                    if self.frag.is_inner(l) {
-                        out.push((l, m));
-                    }
-                }
-            });
+            b.for_each::<M>(|l, m| out.push((l, m)));
         }
         out
     }

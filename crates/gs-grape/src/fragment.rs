@@ -2,9 +2,20 @@
 //!
 //! A fragment owns its *inner* vertices and all edges sourced at them;
 //! destination vertices owned elsewhere appear as *outer* mirrors. Local
-//! dense ids place inner vertices first (`0..inner_count`) and outer
-//! mirrors after, so per-vertex state is a flat array — the layout GRAPE's
-//! "highly optimized core operators for fragment management" rely on.
+//! dense ids place inner vertices first (`0..inner_count`, ascending global
+//! order) and outer mirrors after (ascending global order), so per-vertex
+//! state is a flat array — the layout GRAPE's "highly optimized core
+//! operators for fragment management" rely on.
+//!
+//! Messages are addressed by local id end to end. An inner vertex's local
+//! id is its index in its owner's inner list, which the partitioning pass
+//! records once for every vertex (the shared *vertex map*). Each outer
+//! mirror carries a routing entry precomputed at load — its owner fragment
+//! and the id it has there ([`Fragment::route`]) — so a message to a mirror
+//! is encoded with the owner's local id and the owner indexes its arrays
+//! directly. Nothing on a message path hashes or searches; only source
+//! lookups by global id ([`Fragment::local`]) search, over the sorted outer
+//! range of `l2g`.
 //!
 //! Topology is held as a [`TopologyLayout`] (plain, sorted, or compressed
 //! CSR — see [`gs_graph::layout`]); algorithms traverse through the
@@ -20,8 +31,8 @@ use gs_graph::partition::{EdgeCutPartitioner, PartitionId};
 use gs_graph::{EId, VId};
 use gs_sanitizer::TrackedMutex;
 use gs_telemetry::counter;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One fragment of a partitioned (optionally weighted) graph.
 pub struct Fragment {
@@ -31,12 +42,16 @@ pub struct Fragment {
     pub global_n: usize,
     /// Partitioner used to route messages to owners.
     pub router: EdgeCutPartitioner,
-    /// local id → global id (inner first, then outer).
+    /// local id → global id (inner first, then outer; each range sorted).
     pub l2g: Vec<VId>,
-    /// global id → local id.
-    g2l: HashMap<VId, u32>,
     /// Number of inner (owned) vertices.
     pub inner_count: usize,
+    /// Routing entry of each outer mirror, parallel to
+    /// `l2g[inner_count..]`: (owner fragment, local id on the owner).
+    mirrors: Vec<(u32, u32)>,
+    /// The vertex map, shared by every fragment of one partitioning:
+    /// global id → the vertex's index in its owner's inner list.
+    vertex_map: Arc<[u32]>,
     /// Local adjacency over local ids (edges sourced at inner vertices),
     /// in the fragment's chosen layout.
     pub out: TopologyLayout,
@@ -78,9 +93,10 @@ impl Fragment {
     ///
     /// Routing is a single sequential pass (inner vertices in ascending
     /// global order, edges and their weights in global order, keyed by the
-    /// source's owner); the per-fragment CSR/CSC construction then runs on
-    /// a work-stealing pool of `min(k, cores)` threads — fragments are
-    /// tasks, so a straggler fragment no longer serialises the tail.
+    /// source's owner) that also records the vertex map; the per-fragment
+    /// CSR/CSC construction then runs on a work-stealing pool of
+    /// `min(k, cores)` threads — fragments are tasks, so a straggler
+    /// fragment no longer serialises the tail.
     pub fn partition_weighted_with_layout(
         n: usize,
         edges: &[(VId, VId)],
@@ -90,9 +106,13 @@ impl Fragment {
     ) -> Vec<Fragment> {
         let router = EdgeCutPartitioner::new(k);
         let mut inner: Vec<Vec<VId>> = vec![Vec::new(); k];
+        let mut vertex_map = Vec::with_capacity(n);
         for v in 0..n as u64 {
-            inner[router.owner(VId(v)).index()].push(VId(v));
+            let owned = &mut inner[router.owner(VId(v)).index()];
+            vertex_map.push(owned.len() as u32);
+            owned.push(VId(v));
         }
+        let vertex_map: Arc<[u32]> = vertex_map.into();
         let mut frag_edges: Vec<Vec<(VId, VId)>> = vec![Vec::new(); k];
         let mut frag_weights: Vec<Vec<f64>> = vec![Vec::new(); k];
         for (i, &(s, d)) in edges.iter().enumerate() {
@@ -130,6 +150,7 @@ impl Fragment {
                 let parts = &parts;
                 let slots = &slots;
                 let next = &next;
+                let vertex_map = &vertex_map;
                 scope.spawn(move |_| {
                     let mut claimed = 0usize;
                     loop {
@@ -144,8 +165,15 @@ impl Fragment {
                             counter!("grape.steal.build_stolen");
                         }
                         let (idx, inn, e, w) = parts[i].lock().take().expect("task claimed once");
-                        let frag =
-                            Self::build(PartitionId(idx as u32), router, n, inn, &e, w, layout);
+                        let frag = Self::build(
+                            PartitionId(idx as u32),
+                            router,
+                            Arc::clone(vertex_map),
+                            inn,
+                            &e,
+                            w,
+                            layout,
+                        );
                         *slots[idx].lock() = Some(frag);
                     }
                 });
@@ -161,39 +189,43 @@ impl Fragment {
 
     /// Builds one fragment from its routed share: owned vertices (ascending
     /// global order), edges sourced at them (global order), and weights
-    /// parallel to those edges.
-    #[allow(clippy::too_many_arguments)]
+    /// parallel to those edges. Inner endpoints take their local id from
+    /// the vertex map; outer ones their rank in the sorted mirror list.
     fn build(
         id: PartitionId,
         router: EdgeCutPartitioner,
-        n: usize,
+        vertex_map: Arc<[u32]>,
         inner: Vec<VId>,
         edges: &[(VId, VId)],
         weights: Option<Vec<f64>>,
         layout: LayoutKind,
     ) -> Fragment {
-        let mut outer: Vec<VId> = Vec::new();
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &(_, d) in edges {
-                if router.owner(d) != id && seen.insert(d) {
-                    outer.push(d);
-                }
-            }
-        }
-        outer.sort_unstable();
-        let inner_count = inner.len();
-        let mut l2g = inner;
-        l2g.extend(outer);
-        let g2l: HashMap<VId, u32> = l2g
+        let mut outer: Vec<VId> = edges
             .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32))
+            .map(|&(_, d)| d)
+            .filter(|&d| router.owner(d) != id)
             .collect();
+        outer.sort_unstable();
+        outer.dedup();
+        let inner_count = inner.len();
+        let local_of = |g: VId| -> VId {
+            let l = if router.owner(g) == id {
+                vertex_map[g.index()] as usize
+            } else {
+                inner_count + outer.binary_search(&g).expect("mirror collected above")
+            };
+            VId(l as u64)
+        };
         let local_edges: Vec<(VId, VId)> = edges
             .iter()
-            .map(|&(s, d)| (VId(g2l[&s] as u64), VId(g2l[&d] as u64)))
+            .map(|&(s, d)| (local_of(s), local_of(d)))
             .collect();
+        let mirrors = outer
+            .iter()
+            .map(|&g| (router.owner(g).0, vertex_map[g.index()]))
+            .collect();
+        let mut l2g = inner;
+        l2g.extend(outer);
         // Csr::from_edges assigns edge id i to the i-th pushed pair, so the
         // routed weight vector is already in edge-id order.
         let out_csr = Csr::from_edges(l2g.len(), &local_edges);
@@ -201,11 +233,12 @@ impl Fragment {
         Fragment {
             id,
             total_fragments: router.partition_count(),
-            global_n: n,
+            global_n: vertex_map.len(),
             router,
             l2g,
-            g2l,
             inner_count,
+            mirrors,
+            vertex_map,
             out: TopologyLayout::build(layout, out_csr),
             inn: TopologyLayout::build(layout, inn_csr),
             weights,
@@ -218,10 +251,49 @@ impl Fragment {
         self.out.kind()
     }
 
-    /// Local id of a global vertex, if present on this fragment.
-    #[inline]
+    /// Local id of a global vertex, if present on this fragment: the vertex
+    /// map answers for inner vertices, a binary search over the sorted
+    /// mirror range for outer ones. For source lookups only — messages
+    /// already carry local ids.
     pub fn local(&self, g: VId) -> Option<u32> {
-        self.g2l.get(&g).copied()
+        if g.index() >= self.global_n {
+            return None;
+        }
+        if self.owner(g) == self.id {
+            return Some(self.vertex_map[g.index()]);
+        }
+        let outer = &self.l2g[self.inner_count..];
+        outer
+            .binary_search(&g)
+            .ok()
+            .map(|i| (self.inner_count + i) as u32)
+    }
+
+    /// Where a message to local vertex `l` goes: `(fragment, local id
+    /// there)`. An inner vertex routes to this fragment under its own id, a
+    /// mirror to its owner through its precomputed routing entry.
+    #[inline]
+    pub fn route(&self, l: u32) -> (usize, u32) {
+        match (l as usize).checked_sub(self.inner_count) {
+            None => (self.id.index(), l),
+            Some(m) => {
+                let (owner, lid) = self.mirrors[m];
+                (owner as usize, lid)
+            }
+        }
+    }
+
+    /// Where a message to any global vertex goes: `(owner fragment, local
+    /// id on the owner)` — FLASH's and Giraph's non-neighbor sends.
+    #[inline]
+    pub fn route_global(&self, g: VId) -> (usize, u32) {
+        (self.owner(g).index(), self.vertex_map[g.index()])
+    }
+
+    /// Number of outer mirrors (`local_count() - inner_count`).
+    #[inline]
+    pub fn mirror_count(&self) -> usize {
+        self.mirrors.len()
     }
 
     /// Global id of a local vertex.
@@ -345,6 +417,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn routes_name_the_owner_and_its_local_id() {
+        use rand::Rng;
+        let mut rng = rand_pcg::Pcg64Mcg::new(17);
+        let edges: Vec<(VId, VId)> = (0..400)
+            .map(|_| (VId(rng.gen_range(0..90)), VId(rng.gen_range(0..90))))
+            .collect();
+        let frags = Fragment::partition_edges(90, &edges, 3);
+        for f in &frags {
+            assert_eq!(f.mirror_count(), f.local_count() - f.inner_count);
+            for l in 0..f.local_count() as u32 {
+                let g = f.global(l);
+                let (to, lid) = f.route(l);
+                assert_eq!((to, lid), f.route_global(g));
+                assert_eq!(to, f.owner(g).index());
+                assert!(f.is_inner(l) == (to == f.id.index()));
+                assert_eq!(frags[to].global(lid), g, "mirror {l} routes to {g:?}");
+            }
+        }
+        assert_eq!(frags[0].local(VId(90)), None, "out of range");
     }
 
     #[test]

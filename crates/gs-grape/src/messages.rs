@@ -6,14 +6,23 @@
 //! employs varint encoding ... to reduce peak memory usage."
 //!
 //! [`OutBuffers`] is exactly that: one byte buffer per destination
-//! fragment; messages append as `(varint Δgid, payload)` with
-//! delta-compressed vertex ids (senders emit in ascending local order, so
-//! deltas are small). The whole buffer moves through one channel send.
-//! Contrast with the PowerGraph replica in `gs-baselines`, which sends one
+//! fragment; messages append as `(varint Δlid, payload)`, where the target
+//! is the vertex's local id *on the destination fragment* (a mirror's
+//! routing entry, see [`Fragment::route`](crate::fragment::Fragment::route)),
+//! delta-compressed against the previous one (senders flush mirrors in
+//! ascending order, so deltas are small). The whole buffer moves through
+//! one channel send, and the receiver indexes its per-vertex arrays with
+//! the decoded ids directly.
+//!
+//! Only cross-fragment traffic needs encoding. PageRank and the Pregel
+//! runtime update inner targets in place and fold each mirror's updates
+//! into one message per superstep, so at one fragment they encode nothing;
+//! the remaining senders (PIE, FLASH, SSSP, the compat façades) may still
+//! address a vertex of their own fragment through its self-slot. Contrast
+//! with the PowerGraph replica in `gs-baselines`, which sends one
 //! heap-allocated message object per edge.
 
 use gs_graph::varint;
-use gs_graph::VId;
 
 /// Message payload codec. Payloads are fixed-meaning per algorithm.
 pub trait Payload: Copy + Send + 'static {
@@ -89,7 +98,7 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
 /// Per-destination aggregated message buffers.
 pub struct OutBuffers {
     bufs: Vec<Vec<u8>>,
-    last_gid: Vec<u64>,
+    last_lid: Vec<u32>,
     counts: Vec<u64>,
     raw_bytes: Vec<u64>,
 }
@@ -99,24 +108,25 @@ impl OutBuffers {
     pub fn new(k: usize) -> Self {
         Self {
             bufs: vec![Vec::new(); k],
-            last_gid: vec![0; k],
+            last_lid: vec![0; k],
             counts: vec![0; k],
             raw_bytes: vec![0; k],
         }
     }
 
-    /// Appends a message for global vertex `target` owned by fragment `to`.
+    /// Appends a message for the vertex with local id `target` on
+    /// fragment `to`.
     #[inline]
-    pub fn send<P: Payload>(&mut self, to: usize, target: VId, payload: P) {
+    pub fn send<P: Payload>(&mut self, to: usize, target: u32, payload: P) {
         let buf = &mut self.bufs[to];
         // delta-encode the target id against the previous one in this buffer
-        let delta = target.0.wrapping_sub(self.last_gid[to]) as i64;
+        let delta = target as i64 - self.last_lid[to] as i64;
         varint::encode_i64(delta, buf);
-        self.last_gid[to] = target.0;
+        self.last_lid[to] = target;
         payload.write(buf);
         self.counts[to] += 1;
-        // what the naive format would cost: full 8-byte gid + fixed payload
-        self.raw_bytes[to] += 8 + P::RAW_SIZE as u64;
+        // what the naive format would cost: full 4-byte id + fixed payload
+        self.raw_bytes[to] += 4 + P::RAW_SIZE as u64;
     }
 
     /// Total messages across all buffers.
@@ -130,7 +140,7 @@ impl OutBuffers {
     }
 
     /// Total bytes the buffered messages would occupy without varint/delta
-    /// aggregation (8-byte gid + fixed-width payload each).
+    /// aggregation (4-byte id + fixed-width payload each).
     pub fn raw_bytes(&self) -> u64 {
         self.raw_bytes.iter().sum()
     }
@@ -145,7 +155,7 @@ impl OutBuffers {
                 count: std::mem::replace(&mut self.counts[i], 0),
                 raw_bytes: std::mem::replace(&mut self.raw_bytes[i], 0),
             });
-            self.last_gid[i] = 0;
+            self.last_lid[i] = 0;
         }
         out
     }
@@ -161,41 +171,29 @@ pub struct MessageBlock {
 }
 
 impl MessageBlock {
-    /// Decodes all `(target, payload)` messages.
-    pub fn decode<P: Payload>(&self) -> Vec<(VId, P)> {
+    /// Decodes all `(target local id, payload)` messages.
+    pub fn decode<P: Payload>(&self) -> Vec<(u32, P)> {
         let mut out = Vec::with_capacity(self.count as usize);
-        let mut pos = 0usize;
-        let mut last: u64 = 0;
-        for _ in 0..self.count {
-            let Some((delta, n)) = varint::decode_i64(&self.bytes[pos..]) else {
-                break;
-            };
-            pos += n;
-            last = last.wrapping_add(delta as u64);
-            let Some((p, m)) = P::read(&self.bytes[pos..]) else {
-                break;
-            };
-            pos += m;
-            out.push((VId(last), p));
-        }
+        self.for_each(|l, p| out.push((l, p)));
         out
     }
 
-    /// Visits messages without materialising a Vec.
-    pub fn for_each<P: Payload>(&self, mut f: impl FnMut(VId, P)) {
+    /// Visits `(target local id, payload)` messages without materialising
+    /// a Vec.
+    pub fn for_each<P: Payload>(&self, mut f: impl FnMut(u32, P)) {
         let mut pos = 0usize;
-        let mut last: u64 = 0;
+        let mut last: i64 = 0;
         for _ in 0..self.count {
             let Some((delta, n)) = varint::decode_i64(&self.bytes[pos..]) else {
                 break;
             };
             pos += n;
-            last = last.wrapping_add(delta as u64);
+            last = last.wrapping_add(delta);
             let Some((p, m)) = P::read(&self.bytes[pos..]) else {
                 break;
             };
             pos += m;
-            f(VId(last), p);
+            f(last as u32, p);
         }
     }
 }
@@ -207,24 +205,21 @@ mod tests {
     #[test]
     fn round_trip_f64_messages() {
         let mut out = OutBuffers::new(2);
-        out.send(0, VId(10), 1.5f64);
-        out.send(0, VId(11), 2.5f64);
-        out.send(1, VId(999), -1.0f64);
+        out.send(0, 10, 1.5f64);
+        out.send(0, 11, 2.5f64);
+        out.send(1, 999, -1.0f64);
         assert_eq!(out.total(), 3);
         let blocks = out.take();
-        assert_eq!(
-            blocks[0].decode::<f64>(),
-            vec![(VId(10), 1.5), (VId(11), 2.5)]
-        );
-        assert_eq!(blocks[1].decode::<f64>(), vec![(VId(999), -1.0)]);
+        assert_eq!(blocks[0].decode::<f64>(), vec![(10, 1.5), (11, 2.5)]);
+        assert_eq!(blocks[1].decode::<f64>(), vec![(999, -1.0)]);
         assert_eq!(out.total(), 0, "take resets");
     }
 
     #[test]
     fn delta_encoding_is_compact_for_ascending_targets() {
         let mut out = OutBuffers::new(1);
-        for i in 0..1000u64 {
-            out.send(0, VId(1_000_000 + i), ());
+        for i in 0..1000u32 {
+            out.send(0, 1_000_000 + i, ());
         }
         let blocks = out.take();
         // first id costs a few bytes; the rest are 1-byte deltas
@@ -235,21 +230,23 @@ mod tests {
     #[test]
     fn tuple_payloads() {
         let mut out = OutBuffers::new(1);
-        out.send(0, VId(5), (7u64, 0.5f64));
+        out.send(0, 5, (7u64, 0.5f64));
         let blocks = out.take();
-        assert_eq!(blocks[0].decode::<(u64, f64)>(), vec![(VId(5), (7, 0.5))]);
+        assert_eq!(blocks[0].decode::<(u64, f64)>(), vec![(5, (7, 0.5))]);
     }
 
     #[test]
     fn unordered_targets_still_round_trip() {
         let mut out = OutBuffers::new(1);
-        out.send(0, VId(100), 1u64);
-        out.send(0, VId(3), 2u64);
-        out.send(0, VId(50), 3u64);
+        out.send(0, 100, 1u64);
+        out.send(0, 3, 2u64);
+        out.send(0, 50, 3u64);
+        out.send(0, u32::MAX, 4u64);
+        out.send(0, 0, 5u64);
         let blocks = out.take();
         assert_eq!(
             blocks[0].decode::<u64>(),
-            vec![(VId(100), 1), (VId(3), 2), (VId(50), 3)]
+            vec![(100, 1), (3, 2), (50, 3), (u32::MAX, 4), (0, 5)]
         );
     }
 
@@ -257,7 +254,7 @@ mod tests {
     fn for_each_matches_decode() {
         let mut out = OutBuffers::new(1);
         for i in 0..50u64 {
-            out.send(0, VId(i * 3), i);
+            out.send(0, i as u32 * 3, i);
         }
         let blocks = out.take();
         let mut collected = Vec::new();

@@ -34,12 +34,13 @@ pub trait PieProgram: Sync {
     );
 
     /// Incremental evaluation against messages received since the last
-    /// round; sends further updates through `ctx`.
+    /// round, each addressed to an inner vertex by its local id; sends
+    /// further updates through `ctx`.
     fn inc_eval(
         &self,
         frag: &Fragment,
         state: &mut Self::State,
-        msgs: &[(VId, Self::Msg)],
+        msgs: &[(u32, Self::Msg)],
         ctx: &mut PieContext<'_, Self::Msg>,
     );
 
@@ -55,11 +56,13 @@ pub struct PieContext<'a, M: Payload> {
 }
 
 impl<'a, M: Payload> PieContext<'a, M> {
-    /// Sends a message to the owner of a global vertex.
+    /// Sends a message about local vertex `l` to its owner: a mirror's
+    /// update travels to the fragment that owns it, an inner vertex's to
+    /// this fragment's own next round.
     #[inline]
-    pub fn send(&mut self, target: VId, msg: M) {
-        let to = self.frag.owner(target).index();
-        self.out.send(to, target, msg);
+    pub fn send(&mut self, l: u32, msg: M) {
+        let (to, lid) = self.frag.route(l);
+        self.out.send(to, lid, msg);
     }
 }
 
@@ -84,9 +87,9 @@ pub fn run_pie<P: PieProgram>(engine: &GrapeEngine, program: &P, max_rounds: usi
             if global_sent == 0 {
                 break;
             }
-            let mut msgs: Vec<(VId, P::Msg)> = Vec::new();
+            let mut msgs: Vec<(u32, P::Msg)> = Vec::new();
             for b in &blocks {
-                b.for_each::<P::Msg>(|v, m| msgs.push((v, m)));
+                b.for_each::<P::Msg>(|l, m| msgs.push((l, m)));
             }
             let mut ctx = PieContext {
                 frag,
@@ -161,9 +164,8 @@ mod tests {
         ) {
             let changed = local_propagate(frag, &mut state.label);
             for l in changed {
-                let g = frag.global(l);
-                if !frag.is_inner(l) || frag.owner(g) != frag.id {
-                    ctx.send(g, state.label[l as usize]);
+                if !frag.is_inner(l) {
+                    ctx.send(l, state.label[l as usize]);
                 } else {
                     // inner border vertices: their mirrors elsewhere need it;
                     // we simply broadcast to the owner of each outer copy via
@@ -181,24 +183,21 @@ mod tests {
             &self,
             frag: &Fragment,
             state: &mut WccState,
-            msgs: &[(VId, u64)],
+            msgs: &[(u32, u64)],
             ctx: &mut PieContext<'_, u64>,
         ) {
             let mut dirty = false;
-            for &(g, m) in msgs {
-                if let Some(l) = frag.local(g) {
-                    if m < state.label[l as usize] {
-                        state.label[l as usize] = m;
-                        dirty = true;
-                    }
+            for &(l, m) in msgs {
+                if m < state.label[l as usize] {
+                    state.label[l as usize] = m;
+                    dirty = true;
                 }
             }
             if dirty {
                 let changed = local_propagate(frag, &mut state.label);
                 for l in changed {
-                    let g = frag.global(l);
                     if !frag.is_inner(l) {
-                        ctx.send(g, state.label[l as usize]);
+                        ctx.send(l, state.label[l as usize]);
                     }
                 }
             }

@@ -335,8 +335,16 @@ pub(crate) struct BarrierRounds {
 // Channels
 // ---------------------------------------------------------------------
 
+/// Tracks a channel created while the sanitizer records; a channel made
+/// outside any window is never reported, so its parked receivers cannot
+/// surface in a later window. Channels dropped since are pruned here.
 pub(crate) fn register_channel(info: &Arc<ChanInfo>) {
-    state().lock().channels.push(Arc::downgrade(info));
+    if !crate::enabled() {
+        return;
+    }
+    let mut st = state().lock();
+    st.channels.retain(|w| w.strong_count() > 0);
+    st.channels.push(Arc::downgrade(info));
 }
 
 /// Records a send and returns the clock snapshot to ship with the message.

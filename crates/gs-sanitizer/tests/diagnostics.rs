@@ -244,6 +244,33 @@ fn s004_receiver_blocked_at_report_time_reported() {
     assert!(report.has_code(S_RECV_STUCK), "{}", report.render());
 }
 
+/// A channel created while no window records is not tracked, so a
+/// receiver parked on it is not some later window's finding.
+#[test]
+fn receiver_parked_on_a_channel_made_outside_any_window_is_not_reported() {
+    let (tx, rx) = {
+        // no window records while the gate is held
+        let _gate = gs_sanitizer::exclusive();
+        channel::unbounded::<u64>("fixture.outside")
+    };
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        ready_tx.send(()).unwrap();
+        rx.recv()
+    });
+    ready_rx.recv().unwrap();
+    // let the fixture thread get from the handshake into recv()
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (_, report) = with_sanitizer(13, || {
+        let (itx, irx) = channel::unbounded::<u64>("fixture.inside");
+        itx.send(1).unwrap();
+        irx.recv().unwrap()
+    });
+    drop(tx);
+    assert!(handle.join().unwrap().is_err());
+    assert!(!report.has_code(S_RECV_STUCK), "{}", report.render());
+}
+
 #[test]
 fn s005_last_receiver_dropped_with_queue_reported() {
     let (_, report) = with_sanitizer(11, || {

@@ -2,10 +2,11 @@
 //! feature configurations, and a run that never enabled the sanitizer must
 //! report nothing. These tests compile with and without `sanitize`.
 //!
-//! Tracked channels register with the sanitizer even while it is off, and
-//! a report names every receiver blocked anywhere in the process; so each
-//! test that receives on a tracked channel, or takes a report, holds the
-//! [`gs_sanitizer::exclusive`] gate.
+//! A report names every receiver blocked on a channel created inside a
+//! recording window, anywhere in the process; so each test that receives
+//! on a tracked channel, or takes a report, holds the
+//! [`gs_sanitizer::exclusive`] gate, keeping its channels out of other
+//! tests' windows.
 
 use gs_sanitizer::channel;
 use gs_sanitizer::{SharedCell, TrackedBarrier, TrackedMutex, TrackedRwLock};

@@ -170,3 +170,43 @@ fn direction_optimizing_sssp_is_bit_identical_across_layouts_and_policies() {
         }
     }
 }
+
+/// Every fragment count agrees with the single-threaded references: a
+/// partitioning only changes which messages cross fragments. PageRank
+/// stays within 1e-12 of `reference::pagerank` and is bit-identical from
+/// run to run; WCC and both BFS paths (Pregel and direction-optimizing)
+/// equal the reference exactly.
+#[test]
+fn every_fragment_count_matches_the_references() {
+    use algorithms::reference;
+    for (name, n, edges) in corpora() {
+        let mut sym =
+            gs_graph::edgelist::EdgeList::from_pairs(n, edges.iter().map(|&(s, d)| (s.0, d.0)));
+        sym.symmetrize();
+        let pr_ref = reference::pagerank(n, &edges, 0.85, 20);
+        let wcc_ref = reference::wcc(n, sym.edges());
+        let bfs_ref = reference::bfs(n, &edges, VId(1));
+        for k in [1usize, 2, 3, 4] {
+            for layout in LayoutKind::ALL {
+                let ctx = format!("{name} k={k} {layout}");
+                let eng = GrapeEngine::from_edges_with_layout(n, &edges, k, layout);
+                let seng = GrapeEngine::from_edges_with_layout(n, sym.edges(), k, layout);
+                let pr = algorithms::pagerank(&eng, 0.85, 20);
+                for (v, (a, b)) in pr.iter().zip(&pr_ref).enumerate() {
+                    assert!((a - b).abs() < 1e-12, "{ctx} pagerank[{v}]: {a} vs {b}");
+                }
+                let again = algorithms::pagerank(&eng, 0.85, 20);
+                assert!(
+                    pr.iter()
+                        .zip(&again)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{ctx} pagerank differs between runs"
+                );
+                assert_eq!(algorithms::wcc(&seng), wcc_ref, "{ctx} wcc");
+                assert_eq!(algorithms::bfs(&eng, VId(1)), bfs_ref, "{ctx} pregel bfs");
+                let (depths, _) = bfs_with_policy(&eng, VId(1), TraversalPolicy::Auto);
+                assert_eq!(depths, bfs_ref, "{ctx} direction-optimizing bfs");
+            }
+        }
+    }
+}
