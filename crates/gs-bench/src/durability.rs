@@ -48,7 +48,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// Deterministic full scan at a pinned version: every vertex with its
-/// external id and property, every live edge with resolved endpoints.
+/// external id and property, every live edge with resolved endpoints,
+/// and the property index's answer for every value.
 fn digest_at(store: &Arc<GartStore>, vl: LabelId, el: LabelId, version: u64) -> String {
     let snap = store.snapshot_at(version);
     let mut out = String::new();
@@ -68,6 +69,23 @@ fn digest_at(store: &Arc<GartStore>, vl: LabelId, el: LabelId, version: u64) -> 
             snap.external_id(vl, d).unwrap(),
             snap.edge_property(el, e, PropId(0))
         ));
+    }
+    // the property index: each visible value plus one absent value,
+    // answered by `vertices_by_property` and named by external id
+    let mut values: Vec<Value> = snap
+        .vertices(vl)
+        .map(|v| snap.vertex_property(vl, v, PropId(0)))
+        .chain([Value::Int(i64::MIN)])
+        .collect();
+    values.sort_by(|a, b| a.total_cmp(b));
+    values.dedup();
+    for value in values {
+        let ids: Vec<u64> = snap
+            .vertices_by_property(vl, PropId(0), &value)
+            .into_iter()
+            .map(|v| snap.external_id(vl, v).unwrap())
+            .collect();
+        out.push_str(&format!("I {value:?} {ids:?}\n"));
     }
     out
 }

@@ -120,16 +120,7 @@ impl Component {
                 Capabilities::INDEX_PROPERTY,
                 Capabilities::PREDICATE_PUSHDOWN,
             ])),
-            Component::Gart => Some(Capabilities::of(&[
-                Capabilities::VERTEX_LIST_ITER,
-                Capabilities::ADJ_LIST_ITER,
-                Capabilities::IN_ADJACENCY,
-                Capabilities::PROPERTY,
-                Capabilities::INDEX_EXTERNAL_ID,
-                Capabilities::MVCC,
-                Capabilities::MUTABLE,
-                Capabilities::TRANSACTIONS,
-            ])),
+            Component::Gart => Some(gs_gart::CAPABILITIES),
             Component::GraphAr => Some(Capabilities::of(&[
                 Capabilities::VERTEX_LIST_ITER,
                 Capabilities::ADJ_LIST_ITER,
@@ -1092,6 +1083,28 @@ mod tests {
             "commit must survive reopen"
         );
         assert!(snap.capabilities().supports(Capabilities::DURABLE));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gart_table_matches_what_a_built_snapshot_advertises() {
+        let dir = std::env::temp_dir().join(format!("gs-flex-caps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut schema = gs_graph::schema::GraphSchema::new();
+        schema.add_vertex_label("V", &[("x", gs_graph::ValueType::Int)]);
+        let table = Gart.storage_capabilities().unwrap();
+        assert!(table.supports(Capabilities::INDEX_PROPERTY | Capabilities::INDEX_INTERNAL_ID));
+        let in_memory = FlexBuild::fraud_oltp_preset().unwrap();
+        let durable = in_memory.clone().with_wal_dir(dir.to_str().unwrap());
+        for d in [in_memory, durable] {
+            let caps = d
+                .gart_store(schema.clone())
+                .unwrap()
+                .snapshot()
+                .capabilities();
+            assert_eq!(caps.difference(Capabilities::DURABLE), table);
+            assert_eq!(d.storage_capabilities(Gart), Some(caps));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

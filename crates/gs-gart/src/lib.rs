@@ -36,6 +36,7 @@
 //! [`GartSnapshot`] pinned to a committed version and are never blocked by
 //! the writer for more than a segment append.
 
+mod index;
 mod recovery;
 mod txn;
 mod wal;
@@ -52,17 +53,33 @@ use gs_grin::{
     AdjEntry, Capabilities, Direction, GraphError, GraphSchema, GrinGraph, LabelId, PropId, Result,
     VId, Value,
 };
+use index::PropIndex;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use txn::{LockState, TxnCore, Vis, WriteKey, NEVER, NO_XID};
 use wal::{Rec, Wal};
 
 /// A snapshot version number.
 pub type Version = u64;
+
+/// The GRIN capabilities of a live [`GartSnapshot`]. Snapshots of a
+/// durable store add [`Capabilities::DURABLE`]; a [`FrozenGart`] derives
+/// its set from this one. The deployment composer's component table reads
+/// the same constant, so what GART advertises has one source.
+pub const CAPABILITIES: Capabilities = Capabilities::VERTEX_LIST_ITER
+    .union(Capabilities::ADJ_LIST_ITER)
+    .union(Capabilities::IN_ADJACENCY)
+    .union(Capabilities::PROPERTY)
+    .union(Capabilities::INDEX_EXTERNAL_ID)
+    .union(Capabilities::INDEX_INTERNAL_ID)
+    .union(Capabilities::INDEX_PROPERTY)
+    .union(Capabilities::MVCC)
+    .union(Capabilities::MUTABLE)
+    .union(Capabilities::TRANSACTIONS);
 
 /// One adjacency entry (24 bytes).
 #[derive(Clone, Copy, Debug, Default)]
@@ -307,6 +324,9 @@ pub(crate) struct Inner {
     /// Displaced slots for deleted-then-re-added external ids: older
     /// snapshots resolve the external id through this chain.
     pub(crate) shadow: Vec<HashMap<u64, Vec<VId>>>,
+    /// Per vertex label, per property: the equality index, built by the
+    /// first lookup (see the `index` module).
+    pub(crate) prop_index: Vec<Vec<OnceLock<PropIndex>>>,
     /// Per edge label: pooled out-/in-adjacency.
     pub(crate) adj_out: Vec<AdjPool>,
     pub(crate) adj_in: Vec<AdjPool>,
@@ -368,6 +388,11 @@ pub(crate) fn fresh_inner(schema: &GraphSchema) -> Inner {
     inner.vertex_deleted = (0..nvl).map(|_| Vec::new()).collect();
     inner.deleted_any = vec![false; nvl];
     inner.shadow = (0..nvl).map(|_| HashMap::new()).collect();
+    inner.prop_index = schema
+        .vertex_labels()
+        .iter()
+        .map(|l| l.properties.iter().map(|_| OnceLock::new()).collect())
+        .collect();
     for l in schema.edge_labels() {
         let defs: Vec<(String, _)> = l
             .properties
@@ -1045,6 +1070,33 @@ impl<'a> GartView<'a> {
             Value::Null
         }
     }
+
+    /// Vertices of `label` visible at this view whose `prop` equals
+    /// `value` under [`Value::total_cmp`] (null never matches), in
+    /// ascending internal-id order — the answer of GRIN's default scan,
+    /// from one hash lookup. The first lookup of a (label, property)
+    /// builds its index under this guard.
+    pub fn vertices_by_property(&self, label: LabelId, prop: PropId, value: &Value) -> Vec<VId> {
+        let li = label.index();
+        let Some(cell) = self.inner.prop_index[li].get(prop.index()) else {
+            return Vec::new();
+        };
+        if value.is_null() {
+            return Vec::new();
+        }
+        let table = &self.inner.vprops[li];
+        let index = cell.get_or_init(|| PropIndex::build(table, prop));
+        let mut out: Vec<VId> = index
+            .candidates(value)
+            .filter(|&slot| {
+                self.inner.vertex_visible(li, slot, self.version, self.xid)
+                    && table.get(slot, prop).total_cmp(value).is_eq()
+            })
+            .map(|slot| VId(slot as u64))
+            .collect();
+        out.reverse();
+        out
+    }
 }
 
 /// A consistent read view of a [`GartStore`] at a fixed version; implements
@@ -1180,16 +1232,10 @@ impl FrozenGart {
 
 impl GrinGraph for FrozenGart {
     fn capabilities(&self) -> Capabilities {
-        let base = Capabilities::of(&[
-            Capabilities::VERTEX_LIST_ITER,
-            Capabilities::ADJ_LIST_ARRAY,
-            Capabilities::ADJ_LIST_ITER,
-            Capabilities::IN_ADJACENCY,
-            Capabilities::PROPERTY,
-            Capabilities::INDEX_EXTERNAL_ID,
-            Capabilities::INDEX_INTERNAL_ID,
-            Capabilities::MVCC,
-        ]);
+        // a freeze is immutable but gains slice access to its topology
+        let base = CAPABILITIES
+            .difference(Capabilities::MUTABLE | Capabilities::TRANSACTIONS)
+            .union(Capabilities::ADJ_LIST_ARRAY);
         let (add, remove) = Capabilities::layout_masks(self.layout);
         base.union(add).difference(remove)
     }
@@ -1352,6 +1398,12 @@ impl GrinGraph for FrozenGart {
         self.store
             .with_view(self.version, |view| view.external_id(label, v))
     }
+
+    fn vertices_by_property(&self, label: LabelId, prop: PropId, value: &Value) -> Vec<VId> {
+        self.store.with_view(self.version, |view| {
+            view.vertices_by_property(label, prop, value)
+        })
+    }
 }
 
 /// Boxed adjacency iteration over a frozen topology (zero-copy for
@@ -1375,21 +1427,10 @@ fn frozen_adj(topo: &TopologyLayout, v: VId) -> Box<dyn Iterator<Item = AdjEntry
 
 impl GrinGraph for GartSnapshot {
     fn capabilities(&self) -> Capabilities {
-        let base = Capabilities::of(&[
-            Capabilities::VERTEX_LIST_ITER,
-            Capabilities::ADJ_LIST_ITER,
-            Capabilities::IN_ADJACENCY,
-            Capabilities::PROPERTY,
-            Capabilities::INDEX_EXTERNAL_ID,
-            Capabilities::INDEX_INTERNAL_ID,
-            Capabilities::MVCC,
-            Capabilities::MUTABLE,
-            Capabilities::TRANSACTIONS,
-        ]);
         if self.store.durable() {
-            base.union(Capabilities::of(&[Capabilities::DURABLE]))
+            CAPABILITIES.union(Capabilities::DURABLE)
         } else {
-            base
+            CAPABILITIES
         }
     }
 
@@ -1506,6 +1547,12 @@ impl GrinGraph for GartSnapshot {
     fn external_id(&self, label: LabelId, v: VId) -> Option<u64> {
         self.store
             .with_view(self.version, |view| view.external_id(label, v))
+    }
+
+    fn vertices_by_property(&self, label: LabelId, prop: PropId, value: &Value) -> Vec<VId> {
+        self.store.with_view(self.version, |view| {
+            view.vertices_by_property(label, prop, value)
+        })
     }
 }
 
@@ -1714,15 +1761,34 @@ mod tests {
 
     #[test]
     fn freeze_matches_snapshot_across_layouts() {
-        let data = PropertyGraphData::from_edge_list(
-            40,
-            &(0..160u64)
-                .map(|i| (i % 40, (i * 11 + 3) % 40))
-                .collect::<Vec<_>>(),
-        );
+        let (s, vl, el) = schema();
+        let mut data = PropertyGraphData::new(s);
+        for v in 0..40u64 {
+            data.add_vertex(vl, v, vec![Value::Int((v % 7) as i64)]);
+        }
+        for i in 0..160u64 {
+            data.add_edge(el, i % 40, (i * 11 + 3) % 40, vec![Value::Float(1.0)]);
+        }
         let store = GartStore::from_data(&data).unwrap();
         let snap = store.snapshot();
-        let (vl, el) = (LabelId(0), LabelId(0));
+        // later commits the pinned version must not see: new holders of
+        // existing values, and a deleted holder
+        for v in 40..50u64 {
+            store
+                .add_vertex(vl, v, vec![Value::Int((v % 9) as i64)])
+                .unwrap();
+        }
+        assert!(store.delete_vertex(vl, 3).unwrap());
+        store.commit();
+        let scan = |value: &Value| -> Vec<VId> {
+            snap.vertices(vl)
+                .filter(|&v| {
+                    snap.vertex_property(vl, v, PropId(0))
+                        .total_cmp(value)
+                        .is_eq()
+                })
+                .collect()
+        };
         for layout in LayoutKind::ALL {
             let frozen = snap.freeze(layout);
             assert_eq!(frozen.topology_layout(), layout);
@@ -1752,7 +1818,42 @@ mod tests {
                 live_rows.push((v, ns.to_vec(), es.to_vec()));
             });
             assert_eq!(frozen_rows, live_rows, "{layout}");
+            // lookups agree at the frozen version: 7 and 8 are held only
+            // after it, 9 never
+            for x in 0..10 {
+                let value = Value::Int(x);
+                let want = scan(&value);
+                assert_eq!(frozen.vertices_by_property(vl, PropId(0), &value), want);
+                assert_eq!(snap.vertices_by_property(vl, PropId(0), &value), want);
+            }
         }
+    }
+
+    #[test]
+    fn property_lookups_follow_total_cmp_across_numeric_kinds() {
+        let mut s = Schema::new();
+        let vl = s.add_vertex_label("V", &[("i", ValueType::Int), ("f", ValueType::Float)]);
+        let store = GartStore::new(s);
+        // 2^53 and 2^53 + 1 share an f64 image, so they share a bucket
+        let big = 1i64 << 53;
+        for (ext, i, f) in [(0, big, 2.0), (1, big + 1, -0.0), (2, 2, 0.0)] {
+            store
+                .add_vertex(vl, ext, vec![Value::Int(i), Value::Float(f)])
+                .unwrap();
+        }
+        store.commit();
+        let snap = store.snapshot();
+        let (i, f) = (PropId(0), PropId(1));
+        let ids = |p, v: Value| snap.vertices_by_property(vl, p, &v);
+        assert_eq!(ids(i, Value::Int(big + 1)), vec![VId(1)]);
+        assert_eq!(ids(i, Value::Float(big as f64)), vec![VId(0), VId(1)]);
+        assert_eq!(ids(i, Value::Float(2.0)), vec![VId(2)]);
+        assert_eq!(ids(i, Value::Date(2)), vec![VId(2)]);
+        assert_eq!(ids(f, Value::Int(2)), vec![VId(0)]);
+        assert_eq!(ids(f, Value::Int(0)), vec![VId(2)], "-0.0 is not 0");
+        assert_eq!(ids(i, Value::Str("2".into())), vec![]);
+        assert_eq!(ids(i, Value::Null), vec![]);
+        assert_eq!(ids(PropId(7), Value::Int(2)), vec![], "no such property");
     }
 
     #[test]

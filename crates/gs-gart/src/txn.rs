@@ -21,7 +21,7 @@
 
 use crate::wal::Rec;
 use crate::{GartStore, GartView, Inner, Version};
-use gs_grin::{EId, GraphError, LabelId, Result, VId, Value};
+use gs_grin::{EId, GraphError, LabelId, PropId, Result, VId, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -394,6 +394,13 @@ pub(crate) fn apply_add_vertex(
     debug_assert_eq!(v.index(), g.vertex_created[li].len());
     g.vertex_created[li].push(core.mark());
     g.vertex_deleted[li].push(NEVER);
+    // built indexes take the new slot; unbuilt ones will read it from
+    // the table when first used
+    for (p, cell) in g.prop_index[li].iter_mut().enumerate() {
+        if let Some(index) = cell.get_mut() {
+            index.insert(v.index(), &g.vprops[li].get(v.index(), PropId(p as u16)));
+        }
+    }
     core.undo.push(UndoOp::Vertex {
         label,
         idx: v.0,

@@ -38,8 +38,11 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
-    let snap = store.snapshot();
+/// Deterministic full scan at a pinned version: every vertex with its
+/// external id and property, every live edge with resolved endpoints,
+/// and the property index's answer for every value.
+fn digest_at(store: &Arc<GartStore>, vl: LabelId, el: LabelId, version: u64) -> String {
+    let snap = store.snapshot_at(version);
     let mut out = String::new();
     for v in snap.vertices(vl) {
         out.push_str(&format!(
@@ -49,9 +52,7 @@ fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
         ));
     }
     let mut rows = Vec::new();
-    store.scan_edges(el, store.committed_version(), &mut |s, d, e| {
-        rows.push((s, d, e));
-    });
+    store.scan_edges(el, version, &mut |s, d, e| rows.push((s, d, e)));
     for (s, d, e) in rows {
         out.push_str(&format!(
             "E {} {} {:?}\n",
@@ -60,7 +61,28 @@ fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
             snap.edge_property(el, e, PropId(0))
         ));
     }
+    // the property index: each visible value plus one absent value,
+    // answered by `vertices_by_property` and named by external id
+    let mut values: Vec<Value> = snap
+        .vertices(vl)
+        .map(|v| snap.vertex_property(vl, v, PropId(0)))
+        .chain([Value::Int(i64::MIN)])
+        .collect();
+    values.sort_by(|a, b| a.total_cmp(b));
+    values.dedup();
+    for value in values {
+        let ids: Vec<u64> = snap
+            .vertices_by_property(vl, PropId(0), &value)
+            .into_iter()
+            .map(|v| snap.external_id(vl, v).unwrap())
+            .collect();
+        out.push_str(&format!("I {value:?} {ids:?}\n"));
+    }
     out
+}
+
+fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
+    digest_at(store, vl, el, store.committed_version())
 }
 
 /// The crash workload: three commits (vertices; edges; a delete each of
@@ -108,30 +130,9 @@ fn reference(vl: LabelId, el: LabelId) -> (Vec<String>, Vec<u64>) {
 fn prefix_digests(dir: &Path, vl: LabelId, el: LabelId) -> Vec<String> {
     let (s, _, _) = schema();
     let store = GartStore::open(s, DurabilityConfig::new(dir)).unwrap();
+    // prefix digests come from pinned snapshots of the full run
     (0..=3)
-        .map(|commits| {
-            // prefix digests come from pinned snapshots of the full run
-            let snap = store.snapshot_at(commits);
-            let mut out = String::new();
-            for v in snap.vertices(vl) {
-                out.push_str(&format!(
-                    "V {} {:?}\n",
-                    snap.external_id(vl, v).unwrap(),
-                    snap.vertex_property(vl, v, PropId(0))
-                ));
-            }
-            let mut rows = Vec::new();
-            store.scan_edges(el, commits, &mut |s, d, e| rows.push((s, d, e)));
-            for (s, d, e) in rows {
-                out.push_str(&format!(
-                    "E {} {} {:?}\n",
-                    snap.external_id(vl, s).unwrap(),
-                    snap.external_id(vl, d).unwrap(),
-                    snap.edge_property(el, e, PropId(0))
-                ));
-            }
-            out
-        })
+        .map(|commits| digest_at(&store, vl, el, commits))
         .collect()
 }
 

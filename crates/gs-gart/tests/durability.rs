@@ -31,7 +31,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// A full deterministic scan of the committed state: vertices with
-/// externals and properties, edges with resolved endpoints and weights.
+/// externals and properties, edges with resolved endpoints and weights,
+/// and the property index's answer for every value.
 fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
     let snap = store.snapshot();
     let mut out = format!("v{}\n", store.committed_version());
@@ -53,6 +54,23 @@ fn digest(store: &Arc<GartStore>, vl: LabelId, el: LabelId) -> String {
             snap.external_id(vl, d).unwrap(),
             snap.edge_property(el, e, PropId(0))
         ));
+    }
+    // the property index: each visible value plus one absent value,
+    // answered by `vertices_by_property` and named by external id
+    let mut values: Vec<Value> = snap
+        .vertices(vl)
+        .map(|v| snap.vertex_property(vl, v, PropId(0)))
+        .chain([Value::Int(i64::MIN)])
+        .collect();
+    values.sort_by(|a, b| a.total_cmp(b));
+    values.dedup();
+    for value in values {
+        let ids: Vec<u64> = snap
+            .vertices_by_property(vl, PropId(0), &value)
+            .into_iter()
+            .map(|v| snap.external_id(vl, v).unwrap())
+            .collect();
+        out.push_str(&format!("I {value:?} {ids:?}\n"));
     }
     out
 }

@@ -192,18 +192,12 @@ pub trait GrinGraph: Send + Sync {
     /// Property-value index: vertices of `label` whose `prop` equals `value`.
     /// Default scans; backends with hash indexes override.
     fn vertices_by_property(&self, label: LabelId, prop: PropId, value: &Value) -> Vec<VId> {
-        let mut out = Vec::new();
-        for v in self.vertices(label) {
-            if self
-                .vertex_property(label, v, prop)
-                .total_cmp(value)
-                .is_eq()
-                && !self.vertex_property(label, v, prop).is_null()
-            {
-                out.push(v);
-            }
-        }
-        out
+        self.vertices(label)
+            .filter(|&v| {
+                let x = self.vertex_property(label, v, prop);
+                !x.is_null() && x.total_cmp(value).is_eq()
+            })
+            .collect()
     }
 
     // ---------------- predicate ----------------
