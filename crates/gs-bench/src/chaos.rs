@@ -2,8 +2,8 @@
 //! chaos equivalence: every workload must finish under injected faults
 //! with the same answer a fault-free run produces (byte-identical for the
 //! integer algorithms, within a documented 1e-9 tolerance for PageRank's
-//! f64 reductions), or degrade along its documented ladder (retries,
-//! skipped batches) without losing accounting.
+//! f64 reductions), or degrade along its documented ladder (structured
+//! `Unavailable` errors, skipped batches) without losing accounting.
 //!
 //! Mirrors `irlint` and `sanitize` one robustness layer up: the table
 //! lists each workload, the faults the plan actually injected, and the
@@ -15,10 +15,12 @@
 
 use crate::gate::{GateArgs, GateReport};
 use crate::util::{random_edges, TablePrinter};
-use gs_chaos::{ChaosStats, FaultPlan, RetryPolicy};
+use gs_chaos::{ChaosStats, FaultPlan};
 use gs_grape::{GrapeEngine, RecoveryConfig};
-use gs_graph::VId;
+use gs_graph::{GraphError, VId};
+use gs_grin::{Direction, GrinGraph};
 use gs_ir::Value;
+use gs_serve::{GartServeStore, Priority, ServeConfig, Server};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -148,30 +150,74 @@ fn bfs_mixed(seed: u64) -> Verdict {
     Verdict { stats, outcome }
 }
 
-/// The query service against a slow shard and a shard that dies mid-run:
-/// deadlines, retries, and dead-shard rerouting must mask both — every
-/// call still succeeds.
-fn hiactor_slow_dead(seed: u64) -> Verdict {
-    let plan = FaultPlan::new(seed ^ 0x51d)
-        .slow_shard(0, Duration::from_millis(3))
-        .dead_shard(1, 4);
-    let (failed, stats) = gs_chaos::with_chaos(plan, || {
-        let svc = gs_hiactor::QueryService::new(2).with_config(gs_hiactor::ServiceConfig {
-            deadline: Some(Duration::from_secs(2)),
-            retry: RetryPolicy::new(4, Duration::from_millis(2)),
-            ..Default::default()
-        });
-        svc.register_idempotent("ping", Arc::new(|_| Ok(vec![vec![Value::Int(1)]])));
-        (0..32)
-            .filter(|_| svc.call_sync("ping", HashMap::new()).is_err())
-            .count()
-    });
-    let outcome = if stats.shard_deaths == 0 || stats.shard_delays == 0 {
-        Err("plan injected no shard faults".to_string())
-    } else if failed > 0 {
-        Err(format!("{failed}/32 calls failed despite retries"))
+/// Stored procedures under storage faults: each `Session::call` reads a
+/// `ChaosGraph`-wrapped GART snapshot. Every call must end in the
+/// fault-free rows, a shed, or a structured `Unavailable` (an injected
+/// read fault, or the serving breaker it opened); at least one must
+/// answer, and faults must fire.
+fn procedure_storage(seed: u64) -> Verdict {
+    let workload = gs_datagen::apps::fraud_graph(60, 20, 200, 50, 7);
+    let labels = workload.labels;
+    let gart = gs_gart::GartStore::from_data(&workload.data).expect("workload loads");
+    let server = Arc::new(Server::new(
+        Box::new(gs_hiactor::QueryService::new(1)),
+        Box::new(GartServeStore::new(Arc::clone(&gart))),
+        ServeConfig::default(),
+    ));
+    // co-purchase reach: the summed buyer counts of the account's items
+    let store = Arc::clone(&gart);
+    server.register(
+        "reach",
+        Arc::new(move |params| {
+            let snap = gs_chaos::ChaosGraph::new(store.snapshot(), "gate.procedure");
+            let id = params.get("id").and_then(Value::as_int).unwrap_or(0) as u64;
+            let mut reach = 0;
+            if let Some(v) = snap.internal_id(labels.account, id) {
+                snap.for_each_adjacent(v, labels.account, labels.buy, Direction::Out, &mut |e| {
+                    reach += snap.degree(e.nbr, labels.item, labels.buy, Direction::In);
+                });
+            }
+            Ok(vec![vec![Value::Int(reach as i64)]])
+        }),
+    );
+    let session = server.session("gate", Priority::High);
+    let calls = 40;
+    let call = |i: u64| {
+        let params = HashMap::from([("id".to_string(), Value::Int((i % 20) as i64))]);
+        session.call("reach", &params)
+    };
+    let want: Vec<_> = {
+        // no other workload's plan may inject into the fault-free pass
+        let _gate = gs_chaos::exclusive();
+        (0..calls).map(|i| call(i).ok()).collect()
+    };
+    let plan = FaultPlan::new(seed ^ 0x9c0)
+        .storage_faults(0.1, 1)
+        .budget(8);
+    let (got, stats) = gs_chaos::with_chaos(plan, || (0..calls).map(call).collect::<Vec<_>>());
+    let (mut ok, mut degraded) = (0, 0);
+    let mut wrong = Vec::new();
+    for (i, (got, want)) in got.into_iter().zip(want).enumerate() {
+        match got {
+            Ok(rows) if Some(&rows) == want.as_ref() => ok += 1,
+            Err(GraphError::Unavailable(_) | GraphError::Overloaded { .. }) => degraded += 1,
+            other => wrong.push(format!("call {i}: {other:?}")),
+        }
+    }
+    let outcome = if stats.storage_faults == 0 {
+        Err("plan injected no storage faults".to_string())
+    } else if !wrong.is_empty() {
+        Err(format!(
+            "{} calls neither answered nor degraded: {}",
+            wrong.len(),
+            wrong[0]
+        ))
+    } else if ok == 0 {
+        Err(format!("no call of {calls} answered"))
     } else {
-        Ok("all 32 calls succeeded despite shard faults".to_string())
+        Ok(format!(
+            "{ok}/{calls} calls answered the fault-free rows, {degraded} degraded"
+        ))
     };
     Verdict { stats, outcome }
 }
@@ -232,7 +278,7 @@ pub fn run_corpus(seed: u64) -> Vec<(&'static str, Verdict)> {
         ("pagerank-kills", pagerank_kills(seed)),
         ("wcc-msgfaults", wcc_msgfaults(seed)),
         ("bfs-mixed", bfs_mixed(seed)),
-        ("hiactor-slow-dead", hiactor_slow_dead(seed)),
+        ("procedure-storage", procedure_storage(seed)),
         ("learn-sampler", learn_sampler(seed)),
     ]
 }

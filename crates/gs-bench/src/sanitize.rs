@@ -1,7 +1,7 @@
 //! `gate sanitize` — run a workload corpus under the concurrency
 //! sanitizer and print a diagnostic table, mirroring `irlint` one layer
 //! down: the same stack paths the benchmarks exercise (GRAPE BSP
-//! supersteps, a HiActor procedure storm, the pipelined sampler) run with
+//! supersteps, a gs-serve stored-procedure storm, the pipelined sampler) run with
 //! every tracked lock, channel, barrier, and shared cell recording, and
 //! any `S`-code finding is a defect in the simulated cluster's
 //! synchronization.
@@ -16,6 +16,7 @@ use gs_grin::graph::mock::MockGraph;
 use gs_grin::GrinGraph;
 use gs_ir::Value;
 use gs_sanitizer::Report;
+use gs_serve::{Priority, ServeConfig, Server, StaticServeStore};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -51,24 +52,29 @@ fn bsp_wcc(seed: u64) -> Report {
     report
 }
 
-/// HiActor procedure storm: concurrent `call`s across 4 shard actors
-/// hammering the shared procedure registry, result channels, and shard
-/// mailboxes.
-fn hiactor_storm(seed: u64) -> Report {
+/// Stored-procedure storm: 4 sessions on 4 threads `call` through one
+/// server, hammering the shared procedure registry, the admission
+/// ladder's tenant map and breaker, and the procedures' shared graph.
+fn procedure_storm(seed: u64) -> Report {
     let n = 200;
     let edges: Vec<(u64, u64, f64)> = random_edges(seed.wrapping_add(2), n, 5)
         .into_iter()
         .map(|(a, b)| (a.0, b.0, 1.0))
         .collect();
-    let ((), report) = gs_sanitizer::with_sanitizer(seed, || {
+    let (answered, report) = gs_sanitizer::with_sanitizer(seed, || {
         let graph = Arc::new(MockGraph::new(n, &edges));
-        let svc = gs_hiactor::QueryService::new(4);
-        let g = Arc::clone(&graph);
-        svc.register(
+        let server = Arc::new(Server::new(
+            Box::new(gs_hiactor::QueryService::new(1)),
+            Box::new(StaticServeStore::new(
+                Arc::clone(&graph) as Arc<dyn GrinGraph>
+            )),
+            ServeConfig::default(),
+        ));
+        server.register(
             "degree_of",
             Arc::new(move |params| {
                 let id = params.get("id").and_then(|v| v.as_int()).unwrap_or(0) as u64;
-                let d = g.degree(
+                let d = graph.degree(
                     VId(id),
                     gs_graph::LabelId(0),
                     gs_graph::LabelId(0),
@@ -77,24 +83,32 @@ fn hiactor_storm(seed: u64) -> Report {
                 Ok(vec![vec![Value::Int(d as i64)]])
             }),
         );
-        svc.register("noop", Arc::new(|_| Ok(vec![])));
-        let rxs: Vec<_> = (0..400)
-            .map(|i| {
-                let name = if i % 3 == 0 { "noop" } else { "degree_of" };
-                let mut p = HashMap::new();
-                p.insert("id".to_string(), Value::Int((i % n) as i64));
-                svc.call(name, p)
-            })
-            .collect();
-        for rx in rxs {
-            // gs-lint: allow(L003 corpus harness must abort loudly if a shard dies; a missing reply here is a harness bug, not a recoverable condition)
-            rx.recv().expect("shard replied").expect("procedure ok");
-        }
-        svc.runtime().quiesce();
-        // drop the service before the report: idle shards legitimately
-        // block on their mailboxes, which would read as S004 otherwise
-        drop(svc);
+        server.register("noop", Arc::new(|_| Ok(vec![])));
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|t| {
+                    let session = server.session(&format!("tenant-{t}"), Priority::High);
+                    s.spawn(move || {
+                        (0..100)
+                            .filter(|i| {
+                                let name = if i % 3 == 0 { "noop" } else { "degree_of" };
+                                let p = HashMap::from([(
+                                    "id".to_string(),
+                                    Value::Int(((i * 4 + t) % n) as i64),
+                                )]);
+                                session.call(name, &p).is_ok()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().unwrap_or(0))
+                .sum::<usize>()
+        })
     });
+    assert_eq!(answered, 400, "every call must answer");
     report
 }
 
@@ -134,7 +148,7 @@ pub fn run_corpus(seed: u64) -> Vec<(&'static str, Report)> {
     vec![
         ("bsp-pagerank", bsp_pagerank(seed)),
         ("bsp-wcc", bsp_wcc(seed)),
-        ("hiactor-storm", hiactor_storm(seed)),
+        ("procedure-storm", procedure_storm(seed)),
         ("learn-pipeline", learn_pipeline(seed)),
     ]
 }

@@ -1,6 +1,6 @@
-//! Per-procedure circuit breaker: Closed → Open on consecutive transport
-//! failures, Open → HalfOpen after a cooldown, HalfOpen → Closed on the
-//! first success (or straight back to Open on failure).
+//! Circuit breaker: Closed → Open on consecutive failures, Open →
+//! HalfOpen after a cooldown, HalfOpen → Closed on the first success (or
+//! straight back to Open on failure).
 //!
 //! Time is passed in explicitly (`Instant` arguments) so the state machine
 //! is unit-testable with a synthetic clock; callers in the serving path
@@ -32,7 +32,7 @@ enum State {
     HalfOpen,
 }
 
-/// The breaker state machine for one procedure.
+/// The breaker state machine for one guarded service.
 #[derive(Clone, Debug)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,

@@ -8,9 +8,8 @@
 //! an attempt restarts, so retried work draws fresh decisions and a
 //! faulted run cannot livelock on the same injection forever.
 
-use std::time::Duration;
-
 /// SplitMix64 finalizer — the deterministic core of every fault decision.
+#[cfg(any(feature = "chaos", test))]
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -19,6 +18,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// Folds `parts` into one uniform value in `[0, 1)`.
+#[cfg(any(feature = "chaos", test))]
 pub(crate) fn unit(seed: u64, parts: &[u64]) -> f64 {
     let mut h = mix64(seed);
     for &p in parts {
@@ -49,13 +49,9 @@ pub struct FaultPlan {
     /// Consecutive faults per storage burst — long enough bursts exhaust a
     /// caller's retry budget and force the skip/degrade path.
     pub storage_burst: u32,
-    /// Shard `.0` sleeps `.1` before each job (a slow replica).
-    pub slow_shards: Vec<(usize, Duration)>,
-    /// Shard `.0` dies after processing `.1` jobs.
-    pub dead_shards: Vec<(usize, u64)>,
     /// Cap on probabilistic injections (0 = unlimited). A safety valve so
     /// faulted runs provably converge within a bounded number of
-    /// restarts/retries; scheduled kills and shard faults are exempt.
+    /// restarts/retries; scheduled kills are exempt.
     pub fault_budget: u64,
     /// Kill the process (panic with [`ChaosUnwind`](crate::ChaosUnwind))
     /// at the WAL's `n`-th durable write (0-based, counted across log
@@ -78,8 +74,6 @@ impl FaultPlan {
             delay_p: 0.0,
             storage_p: 0.0,
             storage_burst: 1,
-            slow_shards: Vec::new(),
-            dead_shards: Vec::new(),
             fault_budget: 0,
             wal_kills: Vec::new(),
             wal_torn: false,
@@ -104,18 +98,6 @@ impl FaultPlan {
     pub fn storage_faults(mut self, p: f64, burst: u32) -> Self {
         self.storage_p = p;
         self.storage_burst = burst.max(1);
-        self
-    }
-
-    /// Makes shard `shard` sleep `delay` before each job.
-    pub fn slow_shard(mut self, shard: usize, delay: Duration) -> Self {
-        self.slow_shards.push((shard, delay));
-        self
-    }
-
-    /// Kills shard `shard` after it has processed `after_jobs` jobs.
-    pub fn dead_shard(mut self, shard: usize, after_jobs: u64) -> Self {
-        self.dead_shards.push((shard, after_jobs));
         self
     }
 
@@ -149,8 +131,6 @@ pub struct ChaosStats {
     pub msgs_duplicated: u64,
     pub msgs_delayed: u64,
     pub storage_faults: u64,
-    pub shard_delays: u64,
-    pub shard_deaths: u64,
     pub wal_kills: u64,
     pub wal_torn_writes: u64,
 }
@@ -163,8 +143,6 @@ impl ChaosStats {
             + self.msgs_duplicated
             + self.msgs_delayed
             + self.storage_faults
-            + self.shard_delays
-            + self.shard_deaths
             + self.wal_kills
             + self.wal_torn_writes
     }
@@ -179,8 +157,6 @@ impl ChaosStats {
             (self.msgs_duplicated, "dups"),
             (self.msgs_delayed, "delays"),
             (self.storage_faults, "storage"),
-            (self.shard_delays, "slow-jobs"),
-            (self.shard_deaths, "shard-deaths"),
             (self.wal_kills, "wal-kills"),
             (self.wal_torn_writes, "torn-writes"),
         ] {

@@ -10,7 +10,6 @@
 //! |---|---|---|
 //! | GRAPE BSP loop | [`worker_kill_point`] | worker panic at superstep *k* |
 //! | `CommHandle::exchange` | [`message_fault`] | block drop / duplication / delay |
-//! | HiActor shard loop | [`shard_delay`] / [`shard_should_die`] | slow or dead shard |
 //! | GRIN reads | [`storage_fault_point`] via [`ChaosGraph`] | transient storage fault |
 //!
 //! **Determinism.** Probabilistic decisions are a pure hash of
@@ -22,10 +21,9 @@
 //! **Cost.** Injection only exists with the `chaos` feature; without it
 //! every hook is an inlined no-op (mirroring `gs-sanitizer`'s
 //! zero-cost-by-default design) and only the always-on recovery utilities
-//! remain: [`retry`] (exponential backoff + deterministic jitter),
-//! [`breaker`] (per-procedure circuit breaker), and the [`ChaosUnwind`]
-//! panic protocol that lets recovery layers tell injected faults apart
-//! from real bugs.
+//! remain: [`breaker`] (the circuit breaker gs-serve's admission ladder
+//! runs on) and the [`ChaosUnwind`] panic protocol that lets recovery
+//! layers tell injected faults apart from real bugs.
 //!
 //! ```
 //! use gs_chaos::FaultPlan;
@@ -39,14 +37,10 @@
 pub mod breaker;
 mod fault;
 pub mod graph;
-pub mod retry;
 
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use fault::{ChaosStats, FaultPlan, MessageFault, WalWriteFault};
 pub use graph::ChaosGraph;
-pub use retry::{with_retries, RetryPolicy};
-
-use std::time::Duration;
 
 /// Whether this build carries the injection machinery (`chaos` feature).
 pub const COMPILED: bool = cfg!(feature = "chaos");
@@ -116,8 +110,6 @@ mod state {
         pub(super) msgs_duplicated: AtomicU64,
         pub(super) msgs_delayed: AtomicU64,
         pub(super) storage_faults: AtomicU64,
-        pub(super) shard_delays: AtomicU64,
-        pub(super) shard_deaths: AtomicU64,
         pub(super) wal_kills: AtomicU64,
         pub(super) wal_torn_writes: AtomicU64,
     }
@@ -201,8 +193,6 @@ mod state {
                 msgs_duplicated: s.msgs_duplicated.load(Ordering::SeqCst),
                 msgs_delayed: s.msgs_delayed.load(Ordering::SeqCst),
                 storage_faults: s.storage_faults.load(Ordering::SeqCst),
-                shard_delays: s.shard_delays.load(Ordering::SeqCst),
-                shard_deaths: s.shard_deaths.load(Ordering::SeqCst),
                 wal_kills: s.wal_kills.load(Ordering::SeqCst),
                 wal_torn_writes: s.wal_torn_writes.load(Ordering::SeqCst),
             }
@@ -385,58 +375,6 @@ pub fn storage_fault_point(site: &'static str) {
 #[inline(always)]
 pub fn storage_fault_point(_site: &'static str) {}
 
-/// HiActor seam: how long shard `shard` should stall before its next job
-/// (`None` = healthy shard).
-#[cfg(feature = "chaos")]
-pub fn shard_delay(shard: usize) -> Option<Duration> {
-    let st = state::current()?;
-    let d = st
-        .plan
-        .slow_shards
-        .iter()
-        .find(|&&(s, _)| s == shard)
-        .map(|&(_, d)| d)?;
-    st.stats
-        .shard_delays
-        .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    gs_telemetry::counter!("chaos.shard_delays");
-    Some(d)
-}
-
-/// HiActor seam (pass-through build): never stalls.
-#[cfg(not(feature = "chaos"))]
-#[inline(always)]
-pub fn shard_delay(_shard: usize) -> Option<Duration> {
-    None
-}
-
-/// HiActor seam: whether shard `shard` dies after its `jobs_done`-th job.
-#[cfg(feature = "chaos")]
-pub fn shard_should_die(shard: usize, jobs_done: u64) -> bool {
-    let Some(st) = state::current() else {
-        return false;
-    };
-    let dies = st
-        .plan
-        .dead_shards
-        .iter()
-        .any(|&(s, n)| s == shard && jobs_done == n);
-    if dies {
-        st.stats
-            .shard_deaths
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        gs_telemetry::counter!("chaos.shard_deaths");
-    }
-    dies
-}
-
-/// HiActor seam (pass-through build): shards never die.
-#[cfg(not(feature = "chaos"))]
-#[inline(always)]
-pub fn shard_should_die(_shard: usize, _jobs_done: u64) -> bool {
-    false
-}
-
 /// WAL seam: the verdict for durable write number `write` of `len` bytes
 /// (gs-gart calls this once per log record and per checkpoint chunk,
 /// with a store-global monotone counter). Unlike the panic hooks, the
@@ -488,8 +426,6 @@ mod tests {
         worker_kill_point(0, 0);
         assert_eq!(message_fault(0, 1), MessageFault::Deliver);
         storage_fault_point("x");
-        assert_eq!(shard_delay(0), None);
-        assert!(!shard_should_die(0, 1));
         let plan = FaultPlan::new(1)
             .kill_worker(0, 0)
             .message_faults(1.0, 0.0, 0.0)
@@ -561,22 +497,6 @@ mod tests {
                 storage_fault_point("s"); // burst drained, budget spent: clean
             });
             assert_eq!(stats.storage_faults, 3);
-        }
-
-        #[test]
-        fn shard_faults_follow_the_schedule() {
-            let plan = FaultPlan::new(9)
-                .slow_shard(1, Duration::from_millis(2))
-                .dead_shard(2, 10);
-            let ((), stats) = with_chaos(plan, || {
-                assert_eq!(shard_delay(0), None);
-                assert_eq!(shard_delay(1), Some(Duration::from_millis(2)));
-                assert!(!shard_should_die(2, 9));
-                assert!(shard_should_die(2, 10));
-                assert!(!shard_should_die(1, 10));
-            });
-            assert_eq!(stats.shard_delays, 1);
-            assert_eq!(stats.shard_deaths, 1);
         }
 
         #[test]

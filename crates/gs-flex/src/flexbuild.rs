@@ -326,8 +326,8 @@ impl Deployment {
     /// [`gs_ir::QueryEngine`] interface. Gaia wins when both interactive
     /// engines are selected (the OLAP engine subsumes ad-hoc plan
     /// execution); HiActor is next; a selection with neither falls back to
-    /// the reference executor. `parallelism` sets Gaia's worker count or
-    /// HiActor's shard count.
+    /// the reference executor. `parallelism` sets Gaia's worker count;
+    /// HiActor runs plans on the caller and ignores it.
     pub fn query_engine(&self, parallelism: usize) -> Box<dyn gs_ir::QueryEngine> {
         self.query_engine_with_verify(parallelism, gs_ir::VerifyLevel::Deny)
     }

@@ -8,17 +8,18 @@
 //!
 //! The check runs two ways:
 //! * [`FraudApp::check_order`] — the production path: a compiled stored
-//!   procedure walking GART snapshots through GRIN;
+//!   procedure walking GART snapshots through GRIN (a serving layer
+//!   registers it as a named procedure, e.g. `gs_serve::Server::register`);
 //! * [`FraudApp::check_order_cypher`] — the paper's Cypher statement parsed
 //!   and executed through the IR stack, used to differential-test the
 //!   procedure.
 
 use gs_datagen::apps::{FraudSchema, FraudWorkload};
 use gs_gart::GartStore;
-use gs_graph::{Result, Value};
+use gs_graph::{GraphError, Result, Value};
 use gs_grin::{Direction, GrinGraph};
-use gs_hiactor::QueryService;
 use gs_ir::exec::execute;
+use gs_ir::Record;
 use gs_lang::Frontend;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,28 +47,35 @@ impl Default for FraudConfig {
     }
 }
 
+/// [`FraudApp::procedure`]'s shape: parameters in, records out — the same
+/// closure type as `gs_serve::Procedure`.
+pub type FraudProcedure = Arc<dyn Fn(&HashMap<String, Value>) -> Result<Vec<Record>> + Send + Sync>;
+
 /// The fraud-detection service.
 pub struct FraudApp {
     store: Arc<GartStore>,
     labels: FraudSchema,
     seeds: HashSet<u64>,
     config: FraudConfig,
-    service: QueryService,
     alerts: AtomicU64,
 }
 
 impl FraudApp {
     /// Builds the deployment from a generated workload.
-    pub fn new(workload: &FraudWorkload, config: FraudConfig, shards: usize) -> Result<Self> {
+    pub fn new(workload: &FraudWorkload, config: FraudConfig) -> Result<Self> {
         let store = GartStore::from_data(&workload.data)?;
         Ok(Self {
             store,
             labels: workload.labels,
             seeds: workload.seeds.iter().copied().collect(),
             config,
-            service: QueryService::new(shards),
             alerts: AtomicU64::new(0),
         })
+    }
+
+    /// The GART store the app ingests into (what a serving layer reads).
+    pub fn store(&self) -> &Arc<GartStore> {
+        &self.store
     }
 
     /// Total alerts raised so far.
@@ -75,8 +83,7 @@ impl FraudApp {
         self.alerts.load(Ordering::Relaxed)
     }
 
-    /// The stored-procedure check (runs on the caller's thread; the
-    /// benchmark wraps it in HiActor submissions).
+    /// The stored-procedure check, on the caller's thread.
     pub fn check_order(&self, account: u64, order_date: i64) -> Result<bool> {
         let l = self.labels;
         let version = self.store.committed_version();
@@ -134,6 +141,24 @@ impl FraudApp {
             self.alerts.fetch_add(1, Ordering::Relaxed);
         }
         Ok(flagged)
+    }
+
+    /// The check as a stored procedure for a serving layer, e.g.
+    /// `gs_serve::Server::register("fraud_check", app.procedure())`:
+    /// `account` and `date` in, one `[Bool]` row out. A missing or
+    /// non-integer parameter is a [`GraphError::Query`].
+    pub fn procedure(self: &Arc<Self>) -> FraudProcedure {
+        let app = Arc::clone(self);
+        Arc::new(move |params| {
+            let int = |name: &str| {
+                params
+                    .get(name)
+                    .and_then(Value::as_int)
+                    .ok_or_else(|| GraphError::Query(format!("missing `{name}`")))
+            };
+            let flagged = app.check_order(int("account")? as u64, int("date")?)?;
+            Ok(vec![vec![Value::Bool(flagged)]])
+        })
     }
 
     /// The same check through the Cypher front-end + IR executor.
@@ -197,10 +222,18 @@ impl FraudApp {
 
     /// Drives `orders` through the production topology: one dedicated
     /// writer thread ingests the order stream into GART (the single-writer
-    /// design GART assumes) while `threads` query clients run the mandatory
-    /// checks each order triggers. Returns check throughput (checks/s),
-    /// Table 2's metric.
-    pub fn run_throughput(self: &Arc<Self>, orders: &[(u64, u64, i64)], threads: usize) -> f64 {
+    /// design GART assumes) while `threads` query clients run `check` — the
+    /// per-order fraud check, given `(account, order date)`, e.g.
+    /// [`FraudApp::check_order`] or a call of it through a serving layer —
+    /// on each order's mandatory check set. Returns check throughput
+    /// (checks/s), Table 2's metric; only checks that answered count, so a
+    /// call the serving layer refused or failed adds nothing to it.
+    pub fn run_throughput(
+        self: &Arc<Self>,
+        orders: &[(u64, u64, i64)],
+        threads: usize,
+        check: impl Fn(u64, i64) -> Result<bool> + Sync,
+    ) -> f64 {
         use crossbeam::deque::{Injector, Steal};
         let queue: Injector<(u64, i64)> = Injector::new();
         let done = std::sync::atomic::AtomicBool::new(false);
@@ -252,15 +285,16 @@ impl FraudApp {
             }
             // query clients
             for _ in 0..threads.max(1) {
-                let app = Arc::clone(self);
                 let queue = &queue;
                 let done = &done;
                 let checks = &checks;
+                let check = &check;
                 s.spawn(move |_| loop {
                     match queue.steal() {
                         Steal::Success((a, d)) => {
-                            let _ = app.check_order(a, d);
-                            checks.fetch_add(1, Ordering::Relaxed);
+                            if check(a, d).is_ok() {
+                                checks.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
                         Steal::Empty => {
                             if done.load(Ordering::Acquire) && queue.is_empty() {
@@ -275,12 +309,6 @@ impl FraudApp {
         })
         .expect("fraud clients");
         checks.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64()
-    }
-
-    /// The HiActor service (exposed for deployments that register extra
-    /// procedures).
-    pub fn service(&self) -> &QueryService {
-        &self.service
     }
 
     /// Offline risk scoring — the analytics arm of the anti-fraud
@@ -313,7 +341,7 @@ mod tests {
 
     fn app() -> (Arc<FraudApp>, FraudWorkload) {
         let w = fraud_graph(300, 120, 1500, 60, 9);
-        let app = FraudApp::new(&w, FraudConfig::default(), 2).unwrap();
+        let app = FraudApp::new(&w, FraudConfig::default()).unwrap();
         (Arc::new(app), w)
     }
 
@@ -364,10 +392,34 @@ mod tests {
     #[test]
     fn throughput_run_processes_all_orders() {
         let (app, w) = app();
-        let qps = app.run_throughput(&w.order_stream, 4);
+        let qps = app.run_throughput(&w.order_stream, 4, |a, d| app.check_order(a, d));
         assert!(qps > 0.0);
         // graph grew by the stream size
         let snap = app.store.snapshot();
         assert_eq!(snap.edge_count(app.labels.buy), 1500 + w.order_stream.len());
+    }
+
+    #[test]
+    fn refused_checks_add_no_throughput() {
+        let (app, w) = app();
+        let qps = app.run_throughput(&w.order_stream, 2, |_, _| {
+            Err(GraphError::Unavailable("refused".into()))
+        });
+        assert_eq!(qps, 0.0);
+    }
+
+    #[test]
+    fn procedure_answers_as_the_check_and_rejects_missing_params() {
+        let (app, w) = app();
+        let proc = app.procedure();
+        let account = w.seeds[0];
+        let params = HashMap::from([
+            ("account".to_string(), Value::Int(account as i64)),
+            ("date".to_string(), Value::Date(15_350)),
+        ]);
+        let expect = app.check_order(account, 15_350).unwrap();
+        assert_eq!(proc(&params).unwrap(), vec![vec![Value::Bool(expect)]]);
+        let missing = HashMap::from([("account".to_string(), Value::Int(account as i64))]);
+        assert!(matches!(proc(&missing), Err(GraphError::Query(_))));
     }
 }

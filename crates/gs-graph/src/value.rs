@@ -122,9 +122,12 @@ impl Value {
 
     /// Total ordering used by ORDER BY and GROUP keys.
     ///
-    /// Nulls sort first; numeric types compare by value across Int/Float/
-    /// Date; distinct non-comparable types order by their type tag so the
-    /// ordering is total (required for stable sorts over mixed columns).
+    /// Nulls sort first; numeric types compare by exact value across Int/
+    /// Float/Date (an integer equals a float only when the float holds
+    /// exactly that integer; floats keep `f64::total_cmp`'s placement of
+    /// ±0.0 and NaNs, with integer zero at +0.0); distinct non-comparable
+    /// types order by their type tag so the ordering is total (required
+    /// for stable sorts over mixed columns).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -135,8 +138,8 @@ impl Value {
             (Date(a), Date(b)) => a.cmp(b),
             (Int(a), Date(b)) | (Date(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a) | Date(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b) | Date(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a) | Date(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b) | Date(b)) => int_float_cmp(*b, *a).reverse(),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Vertex(a, _), Vertex(b, _)) => a.cmp(b),
@@ -158,6 +161,36 @@ impl Value {
     /// A hashable key form for GROUP BY / dedup. Floats hash by bit pattern.
     pub fn group_key(&self) -> GroupKey {
         GroupKey(self.clone())
+    }
+}
+
+/// Exact order of an integer against a float. The integer sits where
+/// `f64::total_cmp` would put its exact value: above every negative NaN,
+/// below every positive one, and zero at +0.0 (so above -0.0). Rounding
+/// the integer to f64 instead would make `2^53 + 1` equal `2^53 as f64`
+/// while `2^53` equals it too, breaking transitivity.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    // 2^63: the least float above every i64; -2^63 is i64::MIN exactly
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // in range, so the integral part converts exactly
+    let whole = f.trunc();
+    match i.cmp(&(whole as i64)) {
+        Ordering::Equal if f > whole => Ordering::Less,
+        Ordering::Equal if f < whole || (f == 0.0 && f.is_sign_negative()) => Ordering::Greater,
+        c => c,
     }
 }
 

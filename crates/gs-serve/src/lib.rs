@@ -31,13 +31,18 @@
 //!   estimate exceeds the (per-tenant) budget is shed or demoted to
 //!   [`Priority::Low`] **before** the admission ladder — abusive queries
 //!   are rejected from the plan alone, never executed.
+//! * **Stored procedures** ([`Server::register`] / [`Session::call`]):
+//!   named native closures (the §8 fraud check) run on the calling thread
+//!   behind the same admission ladder and breaker feedback as statements,
+//!   with no result cache and no cost gate — one front door for both.
 //! * **Degradation**: an injected fault raised on the serving thread
-//!   during plan execution becomes a structured `Unavailable` error.
+//!   during plan or procedure execution becomes a structured
+//!   `Unavailable` error.
 //!
 //! Telemetry rows: `serve.admitted`, `serve.shed{reason,priority}`,
 //! `serve.breaker.rejected`, `serve.cost.demoted`,
 //! `serve.plan_cache.{hit,miss}`, `serve.result_cache.{hit,miss}`,
-//! `serve.exec_ns{cache}`, `serve.sessions`.
+//! `serve.exec_ns{cache}`, `serve.proc_ns{procedure}`, `serve.sessions`.
 
 pub mod admission;
 pub mod cache;
@@ -132,6 +137,11 @@ impl Default for ServeConfig {
     }
 }
 
+/// A stored procedure: parameters in, records out. It captures its own
+/// graph access (e.g. a GART store it reads a view of per call).
+pub type Procedure =
+    Arc<dyn Fn(&HashMap<String, Value>) -> Result<Vec<Record>> + Send + Sync + 'static>;
+
 /// One compiled + engine-prepared statement template, shared across
 /// sessions and across every statement with its template key.
 struct PlanEntry {
@@ -176,6 +186,7 @@ pub struct Server {
     /// Keyed by (template key, binds digest, data version).
     results: LruCache<(u64, u64, u64), Arc<Vec<Record>>>,
     admission: AdmissionController,
+    procedures: gs_sanitizer::SharedCell<HashMap<String, Procedure>>,
     cost_shed: AtomicU64,
     cost_demoted: AtomicU64,
     executed: AtomicU64,
@@ -207,6 +218,7 @@ impl Server {
             plans: LruCache::new("serve.plan_cache", config.plan_cache_capacity),
             results: LruCache::new("serve.result_cache", config.result_cache_capacity),
             admission: AdmissionController::new(config.admission.clone()),
+            procedures: gs_sanitizer::SharedCell::new("serve.procedures", HashMap::new()),
             engine,
             store,
             optimizer,
@@ -229,6 +241,14 @@ impl Server {
             priority,
             statements: gs_sanitizer::TrackedMutex::new("serve.statements", Vec::new()),
         }
+    }
+
+    /// Registers (or replaces) the stored procedure `name`, callable from
+    /// any session through [`Session::call`].
+    pub fn register(&self, name: &str, procedure: Procedure) {
+        self.procedures.update(|m| {
+            m.insert(name.to_string(), procedure);
+        });
     }
 
     /// The engine serving this server (for diagnostics).
@@ -381,19 +401,22 @@ impl Server {
     }
 }
 
-/// Runs a prepared plan. An injected fault (a [`gs_chaos::ChaosUnwind`]
-/// panic, e.g. a storage read through `gs_chaos::ChaosGraph`) becomes a
-/// structured [`GraphError::Unavailable`], so the request degrades instead
-/// of taking the serving thread down; any other panic is a real bug and is
-/// re-raised.
+/// Runs a prepared plan under [`degrading`].
 fn execute_degrading(
     prepared: &dyn PreparedQuery,
     graph: &dyn GrinGraph,
     binds: &[Value],
 ) -> Result<Vec<Record>> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prepared.execute_with(graph, binds)
-    })) {
+    degrading(|| prepared.execute_with(graph, binds))
+}
+
+/// Runs a plan or procedure. An injected fault (a [`gs_chaos::ChaosUnwind`]
+/// panic, e.g. a storage read through `gs_chaos::ChaosGraph`) becomes a
+/// structured [`GraphError::Unavailable`], so the request degrades instead
+/// of taking the serving thread down; any other panic is a real bug and is
+/// re-raised.
+fn degrading(run: impl FnOnce() -> Result<Vec<Record>>) -> Result<Vec<Record>> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
         Ok(outcome) => outcome,
         Err(payload) => match payload.downcast_ref::<gs_chaos::ChaosUnwind>() {
             Some(fault) => Err(GraphError::Unavailable(format!(
@@ -472,6 +495,33 @@ impl Session {
             .run_entry(&self.tenant, self.priority, &entry, key, || {
                 bind_values(frontend, text, params)
             })
+    }
+
+    /// Calls the stored procedure `name` on this thread, after the same
+    /// admission ladder statements climb; its outcome feeds the same
+    /// breaker. Procedure results are not cached.
+    pub fn call(&self, name: &str, params: &HashMap<String, Value>) -> Result<Vec<Record>> {
+        let server = &self.server;
+        let procedure = server
+            .procedures
+            .read_with(|m| m.get(name).cloned())
+            .ok_or_else(|| GraphError::Query(format!("unknown procedure `{name}`")))?;
+        let started = Instant::now();
+        let guard = server
+            .admission
+            .admit(&self.tenant, self.priority, started)?;
+        let outcome = degrading(|| procedure(params));
+        let ended = Instant::now();
+        server.admission.record_result(outcome.is_ok(), ended);
+        drop(guard);
+        if outcome.is_ok() {
+            server.executed.fetch_add(1, Ordering::Relaxed);
+            observe!("serve.proc_ns", procedure = name; (ended - started).as_nanos() as u64);
+        } else {
+            server.errors.fetch_add(1, Ordering::Relaxed);
+            counter!("serve.errors");
+        }
+        outcome
     }
 
     /// The tenant this session authenticates as.

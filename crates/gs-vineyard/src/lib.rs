@@ -652,4 +652,38 @@ mod tests {
         ));
         assert!(!g.capabilities().supports(Capabilities::MUTABLE));
     }
+
+    /// The hash index answers exactly what the scan answers, also where
+    /// an integer and a float differ past 2^53 (2^53 + 1 is no float).
+    #[test]
+    fn property_index_equals_scan_across_numeric_kinds() {
+        let mut schema = Schema::new();
+        let vl = schema.add_vertex_label("V", &[("x", ValueType::Int)]);
+        let big = 1i64 << 53;
+        let mut data = PropertyGraphData::new(schema);
+        data.add_vertex(vl, 0, vec![Value::Int(big + 1)]);
+        data.add_vertex(vl, 1, vec![Value::Int(big)]);
+        data.add_vertex(vl, 2, vec![Value::Int(0)]);
+        let scan = VineyardGraph::build(&data).unwrap();
+        let mut indexed = VineyardGraph::build(&data).unwrap();
+        indexed.build_property_index(vl, PropId(0));
+        for probe in [
+            Value::Float(big as f64),
+            Value::Int(big + 1),
+            Value::Date(big),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+        ] {
+            assert_eq!(
+                indexed.vertices_by_property(vl, PropId(0), &probe),
+                scan.vertices_by_property(vl, PropId(0), &probe),
+                "probe {probe:?}"
+            );
+        }
+        assert_eq!(
+            indexed.vertices_by_property(vl, PropId(0), &Value::Float(big as f64)),
+            vec![VId(1)]
+        );
+    }
 }

@@ -24,8 +24,8 @@ fn hooks_are_noops_even_under_an_armed_plan() {
         .kill_worker(0, 0)
         .message_faults(1.0, 1.0, 1.0)
         .storage_faults(1.0, 8)
-        .slow_shard(0, Duration::from_secs(1))
-        .dead_shard(0, 1);
+        .wal_kill(0)
+        .wal_torn_writes();
     let (value, stats) = gs_chaos::with_chaos(plan, || {
         // a plan demanding every fault at probability 1.0 still does
         // nothing: the hooks are no-ops
@@ -35,8 +35,10 @@ fn hooks_are_noops_even_under_an_armed_plan() {
             gs_chaos::message_fault(0, 1),
             gs_chaos::MessageFault::Deliver
         ));
-        assert_eq!(gs_chaos::shard_delay(0), None);
-        assert!(!gs_chaos::shard_should_die(0, 1));
+        assert_eq!(
+            gs_chaos::wal_write_fault(0, 64),
+            gs_chaos::WalWriteFault::Proceed
+        );
         1234
     });
     assert_eq!(value, 1234, "with_chaos must run the closure unchanged");
@@ -45,24 +47,21 @@ fn hooks_are_noops_even_under_an_armed_plan() {
 
 #[test]
 fn recovery_utilities_are_always_available() {
-    // retries, breakers, and checkpointing are plain library code — they
-    // work (and are testable) without the chaos feature
-    let policy = gs_chaos::RetryPolicy::new(3, Duration::from_millis(5));
-    let mut calls = 0;
-    let out: Result<u32, &str> = gs_chaos::with_retries(
-        &policy,
-        true,
-        |_| {},
-        |_| true,
-        |attempt| {
-            calls += 1;
-            if attempt < 2 {
-                Err("transient")
-            } else {
-                Ok(attempt)
-            }
-        },
-    );
-    assert_eq!(out, Ok(2));
-    assert_eq!(calls, 2);
+    // the breaker and the injected-fault panic protocol are plain library
+    // code — they work (and are testable) without the chaos feature
+    let mut breaker = gs_chaos::CircuitBreaker::new(gs_chaos::BreakerConfig {
+        failure_threshold: 2,
+        cooldown: Duration::from_millis(5),
+    });
+    let t0 = std::time::Instant::now();
+    breaker.on_failure(t0);
+    assert!(breaker.allow(t0), "one failure keeps the circuit closed");
+    breaker.on_failure(t0);
+    assert!(!breaker.allow(t0), "the second failure opens it");
+    let t1 = t0 + Duration::from_millis(5);
+    assert!(breaker.allow(t1), "the cooldown admits a half-open probe");
+    breaker.on_success();
+    assert!(!breaker.is_open(t1));
+    let payload: Box<dyn std::any::Any + Send> = Box::new(gs_chaos::ChaosUnwind("storage"));
+    assert!(gs_chaos::is_chaos_unwind(payload.as_ref()));
 }

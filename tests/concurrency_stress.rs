@@ -36,61 +36,24 @@ fn grape_aggregator_double_buffer_stress() {
     assert!(report.is_clean(), "{}", report.render());
 }
 
-/// Concurrent submitters to ONE HiActor shard: the mailbox must preserve
-/// each submitter's order (per-shard FIFO), and the runtime must stay
-/// sanitizer-clean under contention.
+/// Concurrent `Session::call` storm through one server: every call
+/// completes, the procedure registry and the admission ladder survive
+/// concurrent callers, and the whole run is sanitizer-clean.
 #[test]
-fn hiactor_single_shard_preserves_submitter_fifo() {
-    let callers = 4;
-    let jobs_per_caller = 50;
-    let (log, report) = gs_sanitizer::with_sanitizer(22, || {
-        let rt = graphscope_flex::gs_hiactor::HiActorRuntime::new(2);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::<(usize, usize)>::new()));
-        std::thread::scope(|s| {
-            for t in 0..callers {
-                let rt = &rt;
-                let log = Arc::clone(&log);
-                s.spawn(move || {
-                    let rxs: Vec<_> = (0..jobs_per_caller)
-                        .map(|i| {
-                            let log = Arc::clone(&log);
-                            rt.submit(Some(0), move || log.lock().push((t, i)))
-                        })
-                        .collect();
-                    for rx in rxs {
-                        rx.recv().unwrap();
-                    }
-                });
-            }
-        });
-        rt.quiesce();
-        Arc::try_unwrap(log).expect("all clones done").into_inner()
-    });
-    assert_eq!(log.len(), callers * jobs_per_caller);
-    // each submitter's jobs ran in its submission order
-    for t in 0..callers {
-        let seq: Vec<usize> = log
-            .iter()
-            .filter(|&&(lt, _)| lt == t)
-            .map(|&(_, i)| i)
-            .collect();
-        assert_eq!(seq, (0..jobs_per_caller).collect::<Vec<_>>(), "caller {t}");
-    }
-    assert!(report.is_clean(), "{}", report.render());
-}
-
-/// Concurrent `call_sync` storm against a single-shard service: every call
-/// completes, the procedure registry survives concurrent readers, and the
-/// whole run is sanitizer-clean.
-#[test]
-fn hiactor_call_sync_storm_on_one_shard() {
-    use graphscope_flex::gs_ir::Value;
+fn session_call_storm_through_one_server() {
+    use graphscope_flex::gs_ir::{ReferenceEngine, Value};
+    use graphscope_flex::gs_serve::{Priority, ServeConfig, Server, StaticServeStore};
     use std::collections::HashMap;
     let (count, report) = gs_sanitizer::with_sanitizer(23, || {
-        let svc = graphscope_flex::gs_hiactor::QueryService::new(1);
+        let graph = graphscope_flex::gs_grin::graph::mock::MockGraph::new(4, &[(0, 1, 1.0)]);
+        let server = Arc::new(Server::new(
+            Box::new(ReferenceEngine::default()),
+            Box::new(StaticServeStore::new(Arc::new(graph))),
+            ServeConfig::default(),
+        ));
         let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        svc.register(
+        server.register(
             "tick",
             Arc::new(move |_| {
                 h.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -98,18 +61,17 @@ fn hiactor_call_sync_storm_on_one_shard() {
             }),
         );
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                let svc = &svc;
+            for t in 0..4 {
+                let session = server.session(&format!("tenant-{t}"), Priority::Normal);
                 s.spawn(move || {
                     for _ in 0..50 {
-                        let rows = svc.call_sync("tick", HashMap::new()).unwrap();
+                        let rows = session.call("tick", &HashMap::new()).unwrap();
                         assert_eq!(rows[0][0], Value::Int(1));
                     }
                 });
             }
         });
-        svc.runtime().quiesce();
-        drop(svc); // idle shards block on their mailboxes: tear down first
+        assert_eq!(server.admission().inflight(), 0, "every slot released");
         hits.load(std::sync::atomic::Ordering::Relaxed)
     });
     assert_eq!(count, 200);

@@ -118,20 +118,27 @@ fn gremlin_parser_rejects_malformed_inputs() {
 }
 
 #[test]
-fn hiactor_survives_procedure_panics_isolated_to_result() {
-    // a procedure returning an error must not poison the shard
-    let svc = QueryService::new(1);
-    svc.register(
+fn session_call_error_is_isolated_to_its_result() {
+    // a procedure returning an error must not poison the server
+    let (store, _) = tiny_store();
+    let server = Arc::new(Server::new(
+        Box::new(QueryService::new(1)),
+        Box::new(StaticServeStore::new(Arc::new(store))),
+        ServeConfig::default(),
+    ));
+    server.register(
         "fails",
         Arc::new(|_| Err(gs_graph::GraphError::Query("intentional".into()))),
     );
-    svc.register("ok", Arc::new(|_| Ok(vec![vec![Value::Int(1)]])));
-    assert!(svc.call_sync("fails", HashMap::new()).is_err());
-    // the shard keeps serving
+    server.register("ok", Arc::new(|_| Ok(vec![vec![Value::Int(1)]])));
+    let session = server.session("t", Priority::Normal);
+    assert!(session.call("fails", &HashMap::new()).is_err());
+    // the session keeps serving
     assert_eq!(
-        svc.call_sync("ok", HashMap::new()).unwrap()[0][0],
+        session.call("ok", &HashMap::new()).unwrap()[0][0],
         Value::Int(1)
     );
+    assert_eq!(server.admission().inflight(), 0);
 }
 
 #[test]

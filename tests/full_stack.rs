@@ -98,8 +98,9 @@ fn figure5_gremlin_cypher_equivalence() {
     assert_eq!(prices_g, vec!["10", "20"]);
 }
 
-/// OLTP on a dynamic graph: Gremlin queries through HiActor on GART while
-/// a writer mutates — reads stay on their snapshot.
+/// OLTP on a dynamic graph: a stored procedure runs a HiActor-prepared
+/// Gremlin plan on GART through `Session::call` while a writer mutates —
+/// reads stay on their pinned snapshot.
 #[test]
 fn hiactor_on_gart_with_concurrent_updates() {
     let mut schema = GraphSchema::new();
@@ -117,13 +118,19 @@ fn hiactor_on_gart_with_concurrent_updates() {
             .unwrap();
     }
     store.commit();
-    let svc = QueryService::new(2);
+    let server = Arc::new(Server::new(
+        Box::new(QueryService::new(1)),
+        Box::new(GartServeStore::new(Arc::clone(&store))),
+        ServeConfig::default(),
+    ));
     let snap = store.snapshot();
     let compiled = Frontend::Gremlin
         .compile("g.V().hasLabel('V').out('E').count()", &schema)
         .unwrap();
-    svc.register_plan("count_edges", compiled.physical, Arc::new(snap.clone()));
-    // concurrent writer adds edges, but the registered snapshot is pinned
+    let prepared = QueryService::new(1).prepare(&compiled.physical).unwrap();
+    server.register("count_edges", Arc::new(move |_| prepared.execute(&snap)));
+    let session = server.session("oltp", Priority::High);
+    // concurrent writer adds edges, but the procedure's snapshot is pinned
     let writer = {
         let store = Arc::clone(&store);
         std::thread::spawn(move || {
@@ -136,7 +143,7 @@ fn hiactor_on_gart_with_concurrent_updates() {
         })
     };
     for _ in 0..20 {
-        let rows = svc.call_sync("count_edges", HashMap::new()).unwrap();
+        let rows = session.call("count_edges", &HashMap::new()).unwrap();
         assert_eq!(rows[0][0], Value::Int(49), "pinned snapshot must not move");
     }
     writer.join().unwrap();
@@ -206,7 +213,7 @@ fn flexbuild_presets_compose_and_apps_run() {
     assert!(d.components.contains(&Component::HiActor));
     assert!(d.components.contains(&Component::Gart));
     let w = gs_datagen::apps::fraud_graph(200, 80, 800, 20, 3);
-    let app = gs_flex::FraudApp::new(&w, gs_flex::FraudConfig::default(), 2).unwrap();
+    let app = gs_flex::FraudApp::new(&w, gs_flex::FraudConfig::default()).unwrap();
     for &(a, it, dt) in w.order_stream.iter().take(20) {
         app.process_order(a, it, dt).unwrap();
     }

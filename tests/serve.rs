@@ -9,22 +9,30 @@
 //! * the admission ladder surfaces through sessions: `Overloaded` is a
 //!   structured error, low priority sheds first, high priority keeps
 //!   getting served to capacity;
+//! * stored procedures (`Server::register` / `Session::call`) climb the
+//!   same ladder: they fill tenant quotas, shed `Low` first, feed the same
+//!   breaker, and turn an injected fault into a structured `Unavailable`;
 //! * under injected faults (chaos builds) the service degrades — every
 //!   request ends in rows or a structured error, nothing panics.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use gs_chaos::BreakerConfig;
 use gs_datagen::apps::fraud_graph;
 use gs_gart::GartStore;
-use gs_graph::{GraphError, Value};
+use gs_graph::{GraphError, LabelId, VId, Value};
+use gs_grin::graph::mock::MockGraph;
+use gs_grin::{Direction, GrinGraph};
+use gs_hiactor::QueryService;
 use gs_ir::{QueryEngine, ReferenceEngine, VerifyLevel};
 use gs_lang::Frontend;
 use gs_optimizer::Optimizer;
 use gs_serve::{
     AdmissionConfig, CostAction, CostBudget, CostGate, GartServeStore, Priority, ServeConfig,
-    Server, TenantQuota,
+    Server, StaticServeStore, TenantQuota,
 };
 
 fn fraud_server(capacity: usize) -> (Arc<Server>, Arc<GartStore>, gs_datagen::apps::FraudWorkload) {
@@ -437,17 +445,279 @@ fn demoted_over_budget_query_sheds_at_the_low_watermark() {
     assert_eq!(stats.executed, 1);
 }
 
-/// Chaos-armed serving over the fraud workload. Plans run on the caller,
-/// so shard faults cannot reach them; storage-read faults can, and
-/// serving degrades — every request ends in rows, a shed, or a structured
-/// error. Nothing panics, nothing hangs.
+/// A server over a 100-vertex mock graph (vertex 0 has out-degree 3)
+/// with `admission` tuning, for the stored-procedure tests.
+fn proc_server(admission: AdmissionConfig) -> (Arc<Server>, Arc<MockGraph>) {
+    let graph = Arc::new(MockGraph::new(
+        100,
+        &(0..300u64)
+            .map(|i| (i % 100, (i * 13 + 1) % 100, 1.0))
+            .collect::<Vec<_>>(),
+    ));
+    let server = Arc::new(Server::new(
+        Box::new(QueryService::new(1)),
+        Box::new(StaticServeStore::new(
+            Arc::clone(&graph) as Arc<dyn GrinGraph>
+        )),
+        ServeConfig {
+            admission,
+            ..Default::default()
+        },
+    ));
+    (server, graph)
+}
+
+/// A statement over [`proc_server`]'s graph.
+const COUNT_QUERY: &str = "g.V().hasLabel('V').count()";
+
+/// Registers `block`: a procedure that holds its admission slot until
+/// `release` is set (or 30 s pass, so a failed test cannot hang its
+/// scope). Returns the release flag.
+fn register_blocking(server: &Server) -> Arc<AtomicBool> {
+    let release = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&release);
+    server.register(
+        "block",
+        Arc::new(move |_| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !r.load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    return Err(GraphError::Query("never released".into()));
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(vec![])
+        }),
+    );
+    release
+}
+
+/// Waits (bounded) until `n` requests hold admission slots.
+fn await_inflight(server: &Server, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.admission().inflight() != n {
+        assert!(Instant::now() < deadline, "never reached {n} in flight");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A procedure reads its parameters; an unknown name is a structured
+/// error that takes no admission slot.
+#[test]
+fn procedures_take_params_and_unknown_names_error() {
+    let (server, graph) = proc_server(AdmissionConfig::default());
+    server.register(
+        "degree_of",
+        Arc::new(move |params| {
+            let id = params
+                .get("id")
+                .and_then(Value::as_int)
+                .ok_or_else(|| GraphError::Query("missing id".into()))?;
+            let d = graph.degree(VId(id as u64), LabelId(0), LabelId(0), Direction::Out);
+            Ok(vec![vec![Value::Int(d as i64)]])
+        }),
+    );
+    let session = server.session("t", Priority::Normal);
+    let params = HashMap::from([("id".to_string(), Value::Int(0))]);
+    assert_eq!(
+        session.call("degree_of", &params).unwrap(),
+        vec![vec![Value::Int(3)]]
+    );
+    assert!(session.call("degree_of", &HashMap::new()).is_err());
+    let err = session.call("ghost", &params).unwrap_err();
+    assert!(
+        matches!(&err, GraphError::Query(m) if m.contains("ghost")),
+        "got {err:?}"
+    );
+    let stats = server.stats();
+    assert_eq!(
+        stats.admitted, 2,
+        "an unknown name is refused before admission"
+    );
+    assert_eq!((stats.executed, stats.errors), (1, 1));
+}
+
+/// Concurrent calls from several sessions all complete and release
+/// their slots.
+#[test]
+fn concurrent_calls_complete() {
+    let (server, graph) = proc_server(AdmissionConfig::default());
+    server.register(
+        "noop",
+        Arc::new(move |_| {
+            let _ = graph.vertex_count(LabelId(0));
+            Ok(vec![])
+        }),
+    );
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let session = server.session(&format!("t{t}"), Priority::Normal);
+            s.spawn(move || {
+                for _ in 0..250 {
+                    session.call("noop", &HashMap::new()).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(server.stats().executed, 1000);
+    assert_eq!(server.admission().inflight(), 0);
+}
+
+/// Calls climb the statements' tenant quota: a blocking procedure holds
+/// the tenant's only slot, so its next call — and its next statement —
+/// is `Overloaded`, while another tenant is still served.
+#[test]
+fn a_blocking_procedure_fills_its_tenant_quota() {
+    let (server, _) = proc_server(AdmissionConfig {
+        default_quota: TenantQuota { max_inflight: 1 },
+        ..Default::default()
+    });
+    let release = register_blocking(&server);
+    server.register("ok", Arc::new(|_| Ok(vec![vec![Value::Int(1)]])));
+    let greedy = server.session("greedy", Priority::High);
+    let polite = server.session("polite", Priority::Low);
+    let (call, query, other, held) = std::thread::scope(|s| {
+        let held = s.spawn(|| greedy.call("block", &HashMap::new()));
+        await_inflight(&server, 1);
+        let call = greedy.call("ok", &HashMap::new());
+        let query = greedy.query(Frontend::Gremlin, COUNT_QUERY, &HashMap::new());
+        let other = polite.call("ok", &HashMap::new());
+        release.store(true, Ordering::SeqCst);
+        (call, query, other, held.join().unwrap())
+    });
+    assert!(
+        matches!(call, Err(GraphError::Overloaded { .. })),
+        "got {call:?}"
+    );
+    assert!(
+        matches!(query, Err(GraphError::Overloaded { .. })),
+        "got {query:?}"
+    );
+    assert!(other.is_ok() && held.is_ok());
+    assert_eq!(server.stats().shed_high, 2);
+}
+
+/// Calls climb the statements' priority watermarks: with half the
+/// capacity held, `Low` sheds and `Normal` is admitted.
+#[test]
+fn calls_shed_low_priority_first() {
+    let (server, _) = proc_server(AdmissionConfig {
+        capacity: 2,
+        ..Default::default()
+    });
+    let release = register_blocking(&server);
+    server.register("ok", Arc::new(|_| Ok(vec![])));
+    let holder = server.session("holder", Priority::High);
+    let low = server.session("batch", Priority::Low);
+    let normal = server.session("batch", Priority::Normal);
+    let (low, normal, held) = std::thread::scope(|s| {
+        let held = s.spawn(|| holder.call("block", &HashMap::new()));
+        await_inflight(&server, 1);
+        let low = low.call("ok", &HashMap::new());
+        let normal = normal.call("ok", &HashMap::new());
+        release.store(true, Ordering::SeqCst);
+        (low, normal, held.join().unwrap())
+    });
+    assert!(
+        matches!(low, Err(GraphError::Overloaded { .. })),
+        "got {low:?}"
+    );
+    assert!(normal.is_ok() && held.is_ok());
+    let stats = server.stats();
+    assert_eq!((stats.shed_low, stats.shed_normal), (1, 0));
+}
+
+/// Injected faults inside procedures feed the serving breaker: two
+/// failures open it for calls and statements alike, and after the
+/// cooldown a half-open probe closes it again.
+#[test]
+fn injected_faults_in_calls_open_the_serving_breaker() {
+    gs_chaos::silence_chaos_panics();
+    let (server, _) = proc_server(AdmissionConfig {
+        breaker: BreakerConfig {
+            failure_threshold: 2,
+            cooldown: Duration::from_millis(50),
+        },
+        ..Default::default()
+    });
+    let broken = Arc::new(AtomicBool::new(true));
+    let runs = Arc::new(AtomicUsize::new(0));
+    let (b, r) = (Arc::clone(&broken), Arc::clone(&runs));
+    server.register(
+        "edge",
+        Arc::new(move |_| {
+            r.fetch_add(1, Ordering::SeqCst);
+            if b.load(Ordering::SeqCst) {
+                std::panic::panic_any(gs_chaos::ChaosUnwind("storage"));
+            }
+            Ok(vec![])
+        }),
+    );
+    let session = server.session("t", Priority::High);
+    for _ in 0..2 {
+        let err = session.call("edge", &HashMap::new()).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Unavailable(m) if m.contains("injected")),
+            "got {err:?}"
+        );
+    }
+    // open: refused before the procedure runs, and statements too
+    let err = session.call("edge", &HashMap::new()).unwrap_err();
+    assert!(
+        matches!(&err, GraphError::Unavailable(m) if m.contains("circuit")),
+        "got {err:?}"
+    );
+    assert_eq!(runs.load(Ordering::SeqCst), 2);
+    let err = session
+        .query(Frontend::Gremlin, COUNT_QUERY, &HashMap::new())
+        .unwrap_err();
+    assert!(matches!(err, GraphError::Unavailable(_)), "got {err:?}");
+    assert_eq!(server.stats().breaker_rejections, 2);
+    // after the cooldown the half-open probe runs, succeeds, and closes it
+    broken.store(false, Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(60));
+    assert!(session.call("edge", &HashMap::new()).is_ok());
+    assert!(!server.admission().breaker_open(Instant::now()));
+    assert!(session.call("edge", &HashMap::new()).is_ok());
+}
+
+/// A `ChaosUnwind` inside a procedure is a structured `Unavailable`;
+/// any other panic is a bug and reaches the caller. Neither leaks an
+/// admission slot.
+#[test]
+fn a_chaos_unwind_in_a_procedure_is_unavailable() {
+    gs_chaos::silence_chaos_panics();
+    let (server, _) = proc_server(AdmissionConfig::default());
+    server.register(
+        "faulty",
+        Arc::new(|_| std::panic::panic_any(gs_chaos::ChaosUnwind("storage"))),
+    );
+    server.register("buggy", Arc::new(|_| panic!("a real bug")));
+    let session = server.session("t", Priority::Normal);
+    let err = session.call("faulty", &HashMap::new()).unwrap_err();
+    assert!(
+        matches!(&err, GraphError::Unavailable(m) if m.contains("injected storage")),
+        "got {err:?}"
+    );
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let bug = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.call("buggy", &HashMap::new())
+    }));
+    std::panic::set_hook(prev);
+    let payload = bug.expect_err("a real panic is re-raised");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"a real bug"));
+    assert_eq!(server.admission().inflight(), 0);
+}
+
+/// Chaos-armed serving over the fraud workload: storage-read faults land
+/// inside plan execution, and serving degrades — every request ends in
+/// rows, a shed, or a structured error. Nothing panics, nothing hangs.
 #[cfg(feature = "chaos")]
 mod chaos_on {
     use super::*;
     use gs_chaos::{ChaosGraph, FaultPlan};
     use gs_graph::GraphSchema;
-    use gs_grin::GrinGraph;
-    use gs_hiactor::QueryService;
     use gs_serve::ServeStore;
 
     /// Serves GART snapshots through [`ChaosGraph`], so the installed
@@ -470,13 +740,10 @@ mod chaos_on {
         }
     }
 
-    /// Point reads through a HiActor-served `Server` under `plan`:
-    /// `(ok, injected, shed, errs)` request counts and the fault stats.
-    fn serve_point_reads(
-        plan: FaultPlan,
-        store: impl FnOnce(Arc<GartStore>) -> Box<dyn ServeStore>,
-    ) -> ((u64, u64, u64, u64), gs_chaos::ChaosStats) {
-        gs_chaos::with_chaos(plan, || {
+    #[test]
+    fn serving_degrades_gracefully_under_injected_faults() {
+        let plan = FaultPlan::new(0x5E12).storage_faults(0.25, 1);
+        let ((ok, injected, shed, errs), stats) = gs_chaos::with_chaos(plan, || {
             let workload = fraud_graph(60, 20, 200, 50, 7);
             let gart = GartStore::from_data(&workload.data).expect("workload loads");
             let config = ServeConfig {
@@ -484,8 +751,8 @@ mod chaos_on {
                 ..Default::default()
             };
             let server = Arc::new(Server::new(
-                Box::new(QueryService::new(2)),
-                store(gart),
+                Box::new(QueryService::new(1)),
+                Box::new(ChaosServeStore(gart)),
                 config,
             ));
             let params = HashMap::new();
@@ -503,24 +770,7 @@ mod chaos_on {
                 }
             }
             (ok, injected, shed, errs)
-        })
-    }
-
-    #[test]
-    fn shard_faults_never_reach_plan_serving() {
-        let plan = FaultPlan::new(0x5E12)
-            .slow_shard(0, std::time::Duration::from_millis(2))
-            .dead_shard(1, 6);
-        let (counts, stats) = serve_point_reads(plan, |gart| Box::new(GartServeStore::new(gart)));
-        assert_eq!(counts, (24, 0, 0, 0), "every request must succeed");
-        assert_eq!(stats.total(), 0, "no shard job ran, so no fault fired");
-    }
-
-    #[test]
-    fn serving_degrades_gracefully_under_injected_faults() {
-        let plan = FaultPlan::new(0x5E12).storage_faults(0.25, 1);
-        let ((ok, injected, shed, errs), stats) =
-            serve_point_reads(plan, |gart| Box::new(ChaosServeStore(gart)));
+        });
         assert_eq!(
             ok + injected + shed + errs,
             24,
